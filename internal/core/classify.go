@@ -55,10 +55,12 @@ func (c Class) String() string {
 	}
 }
 
+// lineHist is one line's access history, 8 bytes, stored by value in the
+// classifier's dense table: the zero value is a never-seen line.
 type lineHist struct {
+	lastStage int32
 	seen      bool
 	lastWrite bool
-	lastStage int32
 	// pendingWrite marks that the line's most recent access was a write we
 	// provisionally classified Compulsory ("last write"); the next access
 	// to the line retroactively resolves it into the pair class.
@@ -73,24 +75,22 @@ type lineHist struct {
 // the W-R pair class implied by the reuse distance. Reads are classified
 // directly from (previous access type, stage distance).
 type Classifier struct {
-	m      map[memory.Addr]*lineHist
+	hist   memory.Table[lineHist] // indexed by line number
+	shift  uint                   // log2 of the line size
 	counts [NumClasses]uint64
 	total  uint64
 }
 
-// NewClassifier returns an empty classifier.
-func NewClassifier() *Classifier {
-	return &Classifier{m: map[memory.Addr]*lineHist{}}
+// NewClassifier returns an empty classifier for lines of lineBytes (a
+// power of two).
+func NewClassifier(lineBytes int) *Classifier {
+	return &Classifier{shift: lineShift(lineBytes)}
 }
 
 // Observe records one off-chip access to the given line during stage.
 func (cl *Classifier) Observe(line memory.Addr, write bool, stage int) {
 	cl.total++
-	h := cl.m[line]
-	if h == nil {
-		h = &lineHist{}
-		cl.m[line] = h
-	}
+	h := cl.hist.At(uint64(line) >> cl.shift)
 
 	if h.seen && h.pendingWrite {
 		// Resolve the earlier write now that we know it was not the last.

@@ -70,11 +70,7 @@ type Collector struct {
 	Phases []PhaseSnapshot
 	hwPrev map[string]uint64
 
-	foot map[memory.Addr]stats.ComponentSet
-	// footMemo is a direct-mapped filter in front of the footprint map:
-	// benchmarks touch the same hot lines millions of times, and the memo
-	// short-circuits repeats without a map operation.
-	footMemo   [footMemoSize]footMemoEntry
+	foot       footprint
 	cls        *Classifier
 	dramByComp [stats.NumComponents]uint64
 	flops      [stats.NumComponents]uint64
@@ -94,8 +90,8 @@ func NewCollector(lineBytes int, peakBW float64) *Collector {
 		TL:         stats.NewTimeline(),
 		Ctr:        stats.NewCounters(),
 		LineBytes:  lineBytes,
-		foot:       map[memory.Addr]stats.ComponentSet{},
-		cls:        NewClassifier(),
+		foot:       newFootprint(lineBytes),
+		cls:        NewClassifier(lineBytes),
 		stageBytes: map[int]uint64{},
 		peakBW:     peakBW,
 	}
@@ -197,29 +193,10 @@ func (c *Collector) AddActivityNamed(comp stats.Component, name string, start, e
 	c.addBusy(comp, "activity", name, start, end)
 }
 
-const footMemoSize = 1024
-
-type footMemoEntry struct {
-	line memory.Addr
-	set  stats.ComponentSet
-	ok   bool
-}
-
 // Touch records that comp accessed [addr, addr+size), at line granularity,
 // for the Figure 4 footprint partition.
 func (c *Collector) Touch(comp stats.Component, addr memory.Addr, size int) {
-	n := memory.LinesSpanned(addr, size, c.LineBytes)
-	base := memory.LineAddr(addr, c.LineBytes)
-	for i := 0; i < n; i++ {
-		l := base + memory.Addr(i*c.LineBytes)
-		slot := &c.footMemo[(l/memory.Addr(c.LineBytes))%footMemoSize]
-		if slot.ok && slot.line == l && slot.set.Has(comp) {
-			continue
-		}
-		set := c.foot[l].Set(comp)
-		c.foot[l] = set
-		*slot = footMemoEntry{line: l, set: set, ok: true}
-	}
+	c.foot.touch(comp, addr, size)
 }
 
 // OnDRAM is installed as the DRAM access hook: it feeds the classifier,
@@ -236,14 +213,22 @@ func (c *Collector) Classifier() *Classifier { return c.cls }
 
 // FootprintBytes reports the total touched footprint.
 func (c *Collector) FootprintBytes() uint64 {
-	return uint64(len(c.foot)) * uint64(c.LineBytes)
+	return c.foot.n * uint64(c.LineBytes)
 }
 
 // FootprintPartition reports touched bytes per exclusive component subset.
 func (c *Collector) FootprintPartition() map[stats.ComponentSet]uint64 {
+	var lines [256]uint64 // touched lines per component set
+	c.foot.lines.Leaves(func(_ uint64, leaf *[memory.TableLeaf]stats.ComponentSet) {
+		for _, set := range leaf {
+			lines[set]++
+		}
+	})
 	out := map[stats.ComponentSet]uint64{}
-	for _, set := range c.foot {
-		out[set] += uint64(c.LineBytes)
+	for set, n := range lines {
+		if set != 0 && n != 0 {
+			out[stats.ComponentSet(set)] = n * uint64(c.LineBytes)
+		}
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestClassifierCompulsoryFirstTouch(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 1)
 	cl.Observe(128, false, 1)
 	counts := cl.Counts()
@@ -20,7 +20,7 @@ func TestClassifierCompulsoryFirstTouch(t *testing.T) {
 }
 
 func TestClassifierRRContention(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 1) // compulsory
 	cl.Observe(0, false, 1) // re-read same stage
 	if cl.Counts()[ClassRRContention] != 1 {
@@ -29,7 +29,7 @@ func TestClassifierRRContention(t *testing.T) {
 }
 
 func TestClassifierRRSpill(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 1)
 	cl.Observe(0, false, 2) // next stage
 	if cl.Counts()[ClassRRSpill] != 1 {
@@ -38,7 +38,7 @@ func TestClassifierRRSpill(t *testing.T) {
 }
 
 func TestClassifierLongRange(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 1)
 	cl.Observe(0, false, 5)
 	if cl.Counts()[ClassLongRange] != 1 {
@@ -47,7 +47,7 @@ func TestClassifierLongRange(t *testing.T) {
 }
 
 func TestClassifierWRSpillPairCountsBothSides(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, true, 1)  // producer writeback: provisionally compulsory
 	cl.Observe(0, false, 2) // consumer read next stage
 	counts := cl.Counts()
@@ -61,7 +61,7 @@ func TestClassifierWRSpillPairCountsBothSides(t *testing.T) {
 }
 
 func TestClassifierLastWriteStaysCompulsory(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 1) // first read: compulsory
 	cl.Observe(0, true, 1)  // final writeback, never touched again
 	counts := cl.Counts()
@@ -71,7 +71,7 @@ func TestClassifierLastWriteStaysCompulsory(t *testing.T) {
 }
 
 func TestClassifierWRContentionThrash(t *testing.T) {
-	cl := NewClassifier()
+	cl := NewClassifier(128)
 	cl.Observe(0, false, 3) // fetch (compulsory)
 	cl.Observe(0, true, 3)  // writeback before uses complete
 	cl.Observe(0, false, 3) // re-read same stage
@@ -89,7 +89,7 @@ func TestClassifierWRContentionThrash(t *testing.T) {
 // Property: counts always sum to Total, regardless of access pattern.
 func TestClassifierConservationProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		cl := NewClassifier()
+		cl := NewClassifier(128)
 		stage := 1
 		for _, op := range ops {
 			if op%7 == 0 {

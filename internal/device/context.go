@@ -171,30 +171,18 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 	start := s.Eng.Now()
 	st := s.Col.StageBegin(core.StageKernel, k.Name, stats.GPU, launchStart, launchDur, start)
 	var children []KernelSpec
-	// gen produces one CTA's lane traces through t. One Thread per CTA,
-	// re-pointed per lane: kernels only use the Thread inside Func, so the
-	// struct need not outlive the call. Each lane's trace is retained for
-	// replay and stays per-lane.
-	gen := func(cta int, t *Thread) []isa.Trace {
-		out := make([]isa.Trace, k.Block)
-		t.cta = cta
-		t.block = k.Block
+	var ctaOps int // previous CTA's size; Gen or GenPar alone touches it
+	gen := func(cta int, t *Thread) *isa.Arena {
 		t.children = &children
-		for i := 0; i < k.Block; i++ {
-			t.lane = i
-			t.global = cta*k.Block + i
-			t.tr = make(isa.Trace, 0, 64)
-			k.Func(t)
-			out[i] = t.tr
-		}
-		return out
+		return s.genCTA(t, cta, k.Block, k.Func, &ctaOps)
 	}
 	kern := &gpucore.Kernel{
 		Name:         k.Name,
 		CTAs:         k.Grid,
 		ThreadsPerTA: k.Block,
 		ScratchBytes: k.ScratchBytes,
-		Gen:          func(cta int) []isa.Trace { return gen(cta, &Thread{s: s}) },
+		Gen:          func(cta int) *isa.Arena { return gen(cta, &Thread{s: s}) },
+		Release:      s.arenas.put,
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			s.Col.StageEnd(st, end, flops, 0)
@@ -232,7 +220,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 		// replayed from the traces by a pre worker (par>=3) — the trace op
 		// stream carries exactly the touched ranges.
 		if s.par.PreWorkers() > 0 {
-			kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, quiet: true}) }
+			kern.GenPar = func(cta int) *isa.Arena { return gen(cta, &Thread{s: s, quiet: true}) }
 			kern.PreTouch = func(worker int, traces []isa.Trace) {
 				sh := s.genShards[worker]
 				for _, tr := range traces {
@@ -246,7 +234,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 			}
 		} else {
 			shard := s.genShards[0]
-			kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, shard: shard}) }
+			kern.GenPar = func(cta int) *isa.Arena { return gen(cta, &Thread{s: s, shard: shard}) }
 		}
 	}
 	s.gpu.Launch(start, kern)
@@ -357,7 +345,7 @@ type CPUTaskSpec struct {
 }
 
 type cpuWork struct {
-	tr   isa.Trace
+	ar   *isa.Arena // one lane: the thread's trace
 	done func(end sim.Tick, flops uint64)
 }
 
@@ -377,9 +365,12 @@ func (s *System) CPUTaskAsync(spec CPUTaskSpec, deps ...*Handle) *Handle {
 			var maxEnd sim.Tick
 			var totFLOPs uint64
 			for tid := 0; tid < spec.Threads; tid++ {
-				ct := &CPUThread{s: s, tid: tid, n: spec.Threads, tr: make(isa.Trace, 0, 1024)}
+				ar := s.arenas.get()
+				ct := &CPUThread{s: s, tid: tid, n: spec.Threads, tr: ar.Open(0)}
 				spec.Func(ct)
-				s.runOnCore(&cpuWork{tr: ct.tr, done: func(end sim.Tick, flops uint64) {
+				ar.EndLane(ct.tr)
+				ar.Seal()
+				s.runOnCore(&cpuWork{ar: ar, done: func(end sim.Tick, flops uint64) {
 					if end > maxEnd {
 						maxEnd = end
 					}
@@ -411,7 +402,8 @@ func (s *System) runOnCore(w *cpuWork) {
 }
 
 func (s *System) startOnCore(id int, w *cpuWork) {
-	s.cores[id].RunTrace(s.Eng.Now(), stats.CPU, w.tr, func(end sim.Tick, flops uint64) {
+	s.cores[id].RunTrace(s.Eng.Now(), stats.CPU, w.ar.Lanes[0], func(end sim.Tick, flops uint64) {
+		s.arenas.put(w.ar)
 		s.Eng.AtD(sim.DomainCPU, end, func() { s.releaseCore(id) })
 		w.done(end, flops)
 	})

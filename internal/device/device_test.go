@@ -31,6 +31,35 @@ func TestAllocAndBufferViews(t *testing.T) {
 	}
 }
 
+// elemSizeConsistent asserts the invariant ElemSize relies on: a buffer's
+// allocation is exactly its elements' bytes.
+func elemSizeConsistent[T any](t *testing.T, b *Buf[T]) {
+	t.Helper()
+	if b.A.Size != len(b.V)*b.ElemSize() {
+		t.Errorf("%s: A.Size %d != len(V) %d * ElemSize %d", b.A.Name, b.A.Size, len(b.V), b.ElemSize())
+	}
+}
+
+func TestElemSizeMatchesAllocation(t *testing.T) {
+	type pair struct {
+		k int32
+		v float64
+	}
+	for _, s := range []*System{discrete(), hetero()} {
+		elemSizeConsistent(t, AllocBuf[float32](s, 1000, "f32", Host))
+		elemSizeConsistent(t, AllocBuf[int32](s, 7, "i32", Device, Misaligned()))
+		elemSizeConsistent(t, AllocBuf[float64](s, 33, "f64", Device))
+		elemSizeConsistent(t, AllocBuf[uint8](s, 5, "u8", Host))
+		elemSizeConsistent(t, AllocBuf[pair](s, 9, "pair", Host))
+		elemSizeConsistent(t, AllocBuf[int32](s, 0, "empty", Host))
+		// A view over an existing buffer's allocation and data.
+		r := AllocBuf[int32](s, 64, "result", Host)
+		elemSizeConsistent(t, &Buf[int32]{A: r.A, V: r.V})
+		d, _ := ToDevice(s, r)
+		elemSizeConsistent(t, d)
+	}
+}
+
 func TestHeteroSharedSpace(t *testing.T) {
 	s := hetero()
 	h := AllocBuf[float32](s, 16, "h", Host)

@@ -49,22 +49,13 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 	p := &PersistentKernel{s: s, spec: spec}
 	p.opened = s.newHandle("persistent kernel " + spec.Name)
 	p.done = s.newHandle("persistent kernel " + spec.Name + " drain")
+	var ctaOps int // previous CTA's size, for genCTA
 	p.k = &gpucore.Kernel{
 		Name:         spec.Name,
 		ThreadsPerTA: spec.Block,
 		ScratchBytes: spec.ScratchBytes,
-		Gen: func(cta int) []isa.Trace {
-			out := make([]isa.Trace, spec.Block)
-			t := &Thread{s: s, cta: cta, block: spec.Block}
-			for i := 0; i < spec.Block; i++ {
-				t.lane = i
-				t.global = cta*spec.Block + i
-				t.tr = make(isa.Trace, 0, 64)
-				spec.Func(t)
-				out[i] = t.tr
-			}
-			return out
-		},
+		Gen:          func(cta int) *isa.Arena { return s.genCTA(&Thread{s: s}, cta, spec.Block, spec.Func, &ctaOps) },
+		Release:      s.arenas.put,
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			p.done.complete(end)

@@ -70,6 +70,9 @@ type System struct {
 	par       *sim.ParEngine
 	genShards []*core.FootprintShard
 
+	// arenas recycles CTA and CPU-task trace storage (see arenaPool).
+	arenas arenaPool
+
 	// Result holds functional output digests the benchmark publishes with
 	// AddResult. Correctness tests compare digests across run modes (every
 	// organization of a benchmark must compute the same answer) and against

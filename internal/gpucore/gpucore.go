@@ -7,7 +7,8 @@
 //
 // Lane traces are generated lazily per CTA by the device layer (CUDA
 // semantics make CTAs order-independent), so peak trace memory is bounded by
-// the resident CTA set rather than the whole grid.
+// the resident CTA set rather than the whole grid; each retired CTA's arena
+// goes back to the generator through Kernel.Release for reuse.
 package gpucore
 
 import (
@@ -31,13 +32,18 @@ type Kernel struct {
 	CTAs         int
 	ThreadsPerTA int // threads per CTA (block size)
 	ScratchBytes int // scratch per CTA
-	// Gen lazily produces the lane traces for CTA cta (ThreadsPerTA traces).
-	Gen func(cta int) []isa.Trace
+	// Gen lazily produces the lane traces for CTA cta: a sealed arena of
+	// ThreadsPerTA lanes.
+	Gen func(cta int) *isa.Arena
 	// GenPar, when set and the GPU has a parallel engine, generates CTA
 	// traces on the engine's generation worker instead of Gen on the timing
 	// thread. It must be safe to run off-thread (it may not touch the
 	// engine or collector) and must produce exactly what Gen would.
-	GenPar func(cta int) []isa.Trace
+	GenPar func(cta int) *isa.Arena
+	// Release, when set, receives each CTA's arena once the CTA retires:
+	// the timing model holds no reference to its traces afterwards, so the
+	// generator may recycle it. It runs on the timing thread.
+	Release func(*isa.Arena)
 	// PreTouch, when set, replays a generated CTA's footprint touches into
 	// the run's per-worker footprint shard on a pre-processing worker.
 	PreTouch func(worker int, traces []isa.Trace)
@@ -234,11 +240,11 @@ func (g *GPU) pipeline(k *Kernel) {
 	touch := k.PreTouch
 	warpsz, lineBytes := g.warpsz, g.LineBytes
 	k.stream = g.Par.Pipeline(k.CTAs, genFn, func(worker, i int, v any) any {
-		traces := v.([]isa.Trace)
+		ar := v.(*isa.Arena)
 		if touch != nil {
-			touch(worker, traces)
+			touch(worker, ar.Lanes)
 		}
-		return &ctaOut{traces: traces, plan: buildCTAPlan(traces, warpsz, lineBytes)}
+		return &ctaOut{ar: ar, plan: buildCTAPlan(ar.Lanes, warpsz, lineBytes)}
 	})
 }
 
@@ -366,10 +372,11 @@ func (s *sm) canTake(k *Kernel) bool {
 type ctaState struct {
 	sm        *sm
 	k         *Kernel
-	b         *ctaBatch // owning feed batch (persistent kernels only)
-	fl        *uint64   // flops accumulator: &k.flops or &b.flops
-	idx       int       // CTA index within the grid
-	start     sim.Tick  // residency start, for the trace span
+	ar        *isa.Arena // the CTA's lane traces, released at retirement
+	b         *ctaBatch  // owning feed batch (persistent kernels only)
+	fl        *uint64    // flops accumulator: &k.flops or &b.flops
+	idx       int        // CTA index within the grid
+	start     sim.Tick   // residency start, for the trace span
 	liveWarps int
 	// barrier state
 	arrived int
@@ -379,7 +386,7 @@ type ctaState struct {
 
 func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	now := s.g.Eng.Now()
-	var traces []isa.Trace
+	var ar *isa.Arena
 	var plan *ctaPlan
 	if k.stream != nil {
 		// Pipelined kernel: CTAs dispatch in increasing index order (the
@@ -387,18 +394,19 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 		// exactly this CTA's.
 		switch v := k.stream.Next().(type) {
 		case *ctaOut:
-			traces, plan = v.traces, v.plan
-		case []isa.Trace:
-			traces = v
+			ar, plan = v.ar, v.plan
+		case *isa.Arena:
+			ar = v
 		}
 	} else {
-		traces = k.Gen(ctaIdx)
+		ar = k.Gen(ctaIdx)
 	}
+	traces := ar.Lanes
 	if len(traces) != k.ThreadsPerTA {
 		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
 	}
 	w := s.g.warpsNeeded(k)
-	cs := &ctaState{sm: s, k: k, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
+	cs := &ctaState{sm: s, k: k, ar: ar, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
 	for _, b := range k.batches {
 		if ctaIdx >= b.start && ctaIdx < b.end {
 			cs.b = b
@@ -441,7 +449,11 @@ func (cs *ctaState) warpDone(end sim.Tick) {
 		return
 	}
 	// CTA complete: release resources, backfill, maybe finish the kernel.
+	// Every warp has finished replaying, so nothing reads the traces now.
 	cs.traceCTA(end)
+	if cs.k.Release != nil {
+		cs.k.Release(cs.ar)
+	}
 	s.liveCTAs--
 	s.scratch -= cs.k.ScratchBytes
 	cs.k.live--
@@ -597,8 +609,8 @@ func (w *warp) step() {
 // ctaOut is a pre worker's product for one CTA: its lane traces plus the
 // precomputed coalescing plan for its warps.
 type ctaOut struct {
-	traces []isa.Trace
-	plan   *ctaPlan
+	ar   *isa.Arena
+	plan *ctaPlan
 }
 
 // ctaPlan holds per-warp coalescing plans for one CTA.
@@ -678,6 +690,11 @@ func coalesce(buf []memory.Addr, lanes []laneCursor, kind isa.OpKind, lineBytes 
 		n := memory.LinesSpanned(op.Addr, int(op.N), lineBytes)
 		for j := 0; j < n; j++ {
 			a := memory.LineAddr(op.Addr, lineBytes) + memory.Addr(j*lineBytes)
+			// Neighbouring lanes mostly hit the line just appended: check
+			// it before the scan (which would find it last).
+			if len(buf) > base && buf[len(buf)-1] == a {
+				continue
+			}
 			dup := false
 			for _, l := range buf[base:] {
 				if l == a {

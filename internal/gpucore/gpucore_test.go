@@ -56,13 +56,13 @@ func newRig(t *testing.T, sms int, memLat sim.Tick) *testRig {
 }
 
 // uniform builds a Gen producing identical traces for every lane.
-func uniform(threads int, mk func(lane int) isa.Trace) func(int) []isa.Trace {
-	return func(cta int) []isa.Trace {
+func uniform(threads int, mk func(lane int) isa.Trace) func(int) *isa.Arena {
+	return func(cta int) *isa.Arena {
 		out := make([]isa.Trace, threads)
 		for i := range out {
 			out[i] = mk(i)
 		}
-		return out
+		return &isa.Arena{Lanes: out}
 	}
 }
 
@@ -174,7 +174,7 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 	slow := int64(10000) // cycles
 	runKernel(t, r, &Kernel{
 		Name: "bar", CTAs: 1, ThreadsPerTA: 64,
-		Gen: func(cta int) []isa.Trace {
+		Gen: func(cta int) *isa.Arena {
 			out := make([]isa.Trace, 64)
 			for i := range out {
 				n := uint32(1)
@@ -187,7 +187,7 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 					{Kind: isa.OpLoad, Addr: memory.Addr(i * 128), N: 4},
 				}
 			}
-			return out
+			return &isa.Arena{Lanes: out}
 		},
 	})
 	// The kernel end must be at least the slow warp's compute time.
@@ -236,7 +236,7 @@ func TestDivergentLanesSerialize(t *testing.T) {
 	// them as separate slots.
 	runKernel(t, r, &Kernel{
 		Name: "div", CTAs: 1, ThreadsPerTA: 32,
-		Gen: func(cta int) []isa.Trace {
+		Gen: func(cta int) *isa.Arena {
 			out := make([]isa.Trace, 32)
 			for i := range out {
 				if i%2 == 0 {
@@ -245,7 +245,7 @@ func TestDivergentLanesSerialize(t *testing.T) {
 					out[i] = isa.Trace{{Kind: isa.OpLoad, Addr: memory.Addr(i * 128), N: 4}}
 				}
 			}
-			return out
+			return &isa.Arena{Lanes: out}
 		},
 	})
 	// 16 odd lanes hit distinct lines: 16 transactions, plus compute ran.

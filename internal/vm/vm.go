@@ -10,6 +10,8 @@
 package vm
 
 import (
+	"math/bits"
+
 	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -19,7 +21,8 @@ import (
 // Manager tracks page mappings for one simulated machine.
 type Manager struct {
 	pageBytes  int
-	mapped     map[memory.Addr]struct{}
+	pageShift  uint
+	mapped     memory.Table[uint64] // page bitset: page p is bit p%64 of word p/64
 	faultToCPU bool
 	cpuServ    sim.Tick
 	gpuServ    sim.Tick
@@ -61,9 +64,12 @@ func New(cfg Config, ctr *stats.Counters) *Manager {
 		cfg.CPUFaultServ = sim.Tick(float64(cfg.CPUFaultServ) * cfg.ServMult)
 		cfg.GPUFaultServ = sim.Tick(float64(cfg.GPUFaultServ) * cfg.ServMult)
 	}
+	if cfg.PageBytes <= 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
+		panic("vm: page size must be a positive power of two")
+	}
 	return &Manager{
 		pageBytes:  cfg.PageBytes,
-		mapped:     map[memory.Addr]struct{}{},
+		pageShift:  uint(bits.TrailingZeros(uint(cfg.PageBytes))),
 		faultToCPU: cfg.GPUFaultToCPU,
 		cpuServ:    cfg.CPUFaultServ,
 		gpuServ:    cfg.GPUFaultServ,
@@ -84,18 +90,28 @@ func (m *Manager) pageOf(addr memory.Addr) memory.Addr {
 	return addr &^ memory.Addr(m.pageBytes-1)
 }
 
+// mapPage marks addr's page resident and reports whether it already was.
+func (m *Manager) mapPage(addr memory.Addr) bool {
+	p := uint64(addr) >> m.pageShift
+	w := m.mapped.At(p >> 6)
+	bit := uint64(1) << (p & 63)
+	was := *w&bit != 0
+	*w |= bit
+	return was
+}
+
 // MapRange marks [base, base+size) resident with no cost — used for pages
 // the host touched before the ROI and for copy-engine implicit mappings.
 func (m *Manager) MapRange(base memory.Addr, size int) {
 	for p := m.pageOf(base); p < base+memory.Addr(size); p += memory.Addr(m.pageBytes) {
-		m.mapped[p] = struct{}{}
+		m.mapPage(p)
 	}
 }
 
 // Mapped reports whether addr's page is resident.
 func (m *Manager) Mapped(addr memory.Addr) bool {
-	_, ok := m.mapped[m.pageOf(addr)]
-	return ok
+	p := uint64(addr) >> m.pageShift
+	return m.mapped.Get(p>>6)&(uint64(1)<<(p&63)) != 0
 }
 
 // Translate resolves addr for an access at time now and returns when the
@@ -104,11 +120,10 @@ func (m *Manager) Mapped(addr memory.Addr) bool {
 // queue on the serial CPU handler (heterogeneous processor) or cost a small
 // fixed GPU-local service time (discrete GPU driver).
 func (m *Manager) Translate(now sim.Tick, addr memory.Addr, fromGPU bool) sim.Tick {
-	page := m.pageOf(addr)
-	if _, ok := m.mapped[page]; ok {
+	if m.mapPage(addr) {
 		return now
 	}
-	m.mapped[page] = struct{}{}
+	page := m.pageOf(addr)
 	if !fromGPU {
 		m.cCPUMinor.Inc()
 		m.Tr.Instant(stats.CPU, "VM", "fault", "cpu minor fault", now,

@@ -84,3 +84,43 @@ func TestFaultOnlyOnFirstTouch(t *testing.T) {
 		t.Fatal("fault count wrong")
 	}
 }
+
+// TestTranslateZeroAlloc: residency is a bit in a dense page table, so
+// translating an address whose page-table leaf exists allocates nothing —
+// neither on a hit nor on the first-touch fault that sets the bit.
+func TestTranslateZeroAlloc(t *testing.T) {
+	m := New(Config{PageBytes: 4096, GPUFaultServ: 200 * sim.Nanosecond}, nil)
+	m.MapRange(4<<30, 4096) // allocate the leaf covering 4 GiB onwards
+	var i memory.Addr
+	if a := testing.AllocsPerRun(1000, func() {
+		i++
+		m.Translate(sim.Tick(i), 4<<30+i*1000, true)
+	}); a != 0 {
+		t.Fatalf("Translate allocates %.1f/op, want 0", a)
+	}
+}
+
+// TestMappedAcrossAddressSpaces pins page residency at the edges of both
+// discrete-system address spaces and across the 4 GiB boundary between
+// them.
+func TestMappedAcrossAddressSpaces(t *testing.T) {
+	m := New(Config{PageBytes: 4096}, nil)
+	m.MapRange(4<<30-4096, 8192) // last CPU page, first GPU page
+	m.Translate(0, 8<<30-1, false)
+	for _, c := range []struct {
+		addr memory.Addr
+		want bool
+	}{
+		{0, false},
+		{4<<30 - 4097, false},
+		{4<<30 - 4096, true},
+		{4<<30 + 4095, true},
+		{4<<30 + 4096, false},
+		{8<<30 - 4097, false},
+		{8<<30 - 4096, true},
+	} {
+		if got := m.Mapped(c.addr); got != c.want {
+			t.Errorf("Mapped(%#x) = %v, want %v", uint64(c.addr), got, c.want)
+		}
+	}
+}
