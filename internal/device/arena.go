@@ -7,12 +7,15 @@ import (
 )
 
 // arenaPool recycles trace arenas across a run's kernels and CPU tasks.
-// An arena is taken when a CTA (or CPU task thread) generates its traces
-// and returned when it retires, so the pool holds at most as many arenas
-// as were ever live at once: the resident CTAs plus, under -par, the
-// CTAs a pipelined kernel has generated ahead of dispatch. With -par the
-// generation worker takes arenas while the timing thread returns them,
-// hence the lock — one per CTA, noise next to its lane programs.
+// An arena is taken when a CTA (or CPU task thread) generates its traces.
+// A CTA's arena comes back as soon as gpucore has compiled it into warp
+// programs, a CPU thread's when the thread retires, so the pool holds at
+// most as many arenas as were ever live at once: the running CPU task
+// threads plus the CTAs generated but not yet compiled — one when serial,
+// and under -par with pre workers those queued for them. Under -par the
+// generation worker takes arenas while the generation or a pre worker
+// returns them, and CPU threads use the pool on the timing thread, hence
+// the lock — one per CTA, noise next to its lane programs.
 type arenaPool struct {
 	mu   sync.Mutex
 	free []*isa.Arena

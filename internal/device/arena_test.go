@@ -59,17 +59,21 @@ func arenaRun(t *testing.T, cfg config.System, par int) *System {
 }
 
 // TestArenaReuseBounded: a run generating thousands of CTAs builds only as
-// many arenas as it ever holds at once — the resident CTAs (or CPU task
-// threads) plus, under -par, the window a pipelined kernel may generate
-// ahead of dispatch.
+// many arenas as it ever holds at once. A CTA's arena goes back as soon as
+// the CTA is compiled, so that is the CPU task's threads plus the CTAs
+// generated but not yet compiled: one when serial and at par=2, where the
+// generation job compiles what it generates, and at par>=3 up to the
+// pipelined kernel's window plus the job its consumer awaits, queued for
+// the pre workers. Kernels in arenaRun launch one at a time, so one stream
+// is in flight.
 func TestArenaReuseBounded(t *testing.T) {
 	cfg := config.DiscreteGPU()
-	resident := cfg.GPU.SMs * cfg.GPU.MaxCTAsPerSM
-	const gets = 3*(1<<15)/64 + 4 + 96 // kernel CTAs, CPU threads, persistent CTAs
+	const threads = 4                        // arenaRun's CPU task
+	const gets = 3*(1<<15)/64 + threads + 96 // kernel CTAs, CPU threads, persistent CTAs
 	for _, par := range []int{1, 2, 3} {
 		s := arenaRun(t, cfg, par)
-		bound := resident
-		if s.par != nil {
+		bound := threads + 1
+		if s.par != nil && s.par.PreWorkers() > 0 {
 			bound += s.par.Window()
 		}
 		made := s.arenas.made

@@ -31,6 +31,15 @@ func refCoalesce(lanes []laneCursor, kind isa.OpKind, lineBytes int) []memory.Ad
 	return out
 }
 
+// refAdvance advances every unfinished lane whose next op has kind kind.
+func refAdvance(lanes []laneCursor, kind isa.OpKind) {
+	for i := range lanes {
+		if lc := &lanes[i]; !lc.done() && lc.tr[lc.idx].Kind == kind {
+			lc.idx++
+		}
+	}
+}
+
 // warpFromBytes decodes a fuzz input into one warp's lane traces: each
 // 6-byte record is one op (lane, kind, 3-byte address, size). Addresses
 // cluster in a 16 KB window so lanes collide on lines often.
@@ -72,7 +81,7 @@ func FuzzCoalesce(f *testing.F) {
 			}
 			kind := ref[lead].tr[ref[lead].idx].Kind
 			want := refCoalesce(ref, kind, lineBytes)
-			advanceLanes(ref, kind)
+			refAdvance(ref, kind)
 			got := coalesce(append([]memory.Addr(nil), prefix...), lanes, kind, lineBytes)
 			if len(got) != len(prefix)+len(want) {
 				t.Fatalf("op %d: %d lines, want %d (%v vs %v)", step, len(got)-len(prefix), len(want), got[len(prefix):], want)

@@ -6,9 +6,13 @@
 // port.
 //
 // Lane traces are generated lazily per CTA by the device layer (CUDA
-// semantics make CTAs order-independent), so peak trace memory is bounded by
-// the resident CTA set rather than the whole grid; each retired CTA's arena
-// goes back to the generator through Kernel.Release for reuse.
+// semantics make CTAs order-independent) and compiled at once into dense
+// per-warp instruction streams with coalesced line lists (compileCTA); the
+// CTA's arena goes back to the generator through Kernel.Release as soon as
+// it is compiled, and warps replay only the program, which is recycled when
+// the CTA retires. Peak program memory is bounded by the resident CTA set
+// (plus, under -par, the CTAs compiled ahead of dispatch) rather than the
+// whole grid.
 package gpucore
 
 import (
@@ -40,9 +44,10 @@ type Kernel struct {
 	// thread. It must be safe to run off-thread (it may not touch the
 	// engine or collector) and must produce exactly what Gen would.
 	GenPar func(cta int) *isa.Arena
-	// Release, when set, receives each CTA's arena once the CTA retires:
-	// the timing model holds no reference to its traces afterwards, so the
-	// generator may recycle it. It runs on the timing thread.
+	// Release, when set, receives each CTA's arena after compile: the
+	// timing model holds no reference to its traces afterwards, so the
+	// generator may recycle it. It may run off the timing thread (on the
+	// generation or a pre worker under -par).
 	Release func(*isa.Arena)
 	// PreTouch, when set, replays a generated CTA's footprint touches into
 	// the run's per-worker footprint shard on a pre-processing worker.
@@ -51,8 +56,8 @@ type Kernel struct {
 	// kernel executed.
 	Done func(end sim.Tick, flops uint64)
 
-	// stream delivers pipelined CTA generation results in CTA order when
-	// the kernel was launched with a parallel engine active; nil runs Gen
+	// stream delivers pipelined CTA programs in CTA order when the kernel
+	// was launched with a parallel engine active; nil runs Gen and compile
 	// synchronously in startCTA (the serial path).
 	stream *sim.Stream
 
@@ -111,12 +116,19 @@ type GPU struct {
 	queue  []*Kernel // FIFO of kernels with undispatched CTAs
 	warpsz int
 
-	// Par, when non-nil, pipelines CTA trace generation (and, with pre
-	// workers, footprint replay + coalescing plans) ahead of the timing
-	// clock. parOK drops to false — permanently, for the rest of the run —
-	// at the first persistent-kernel launch, whose batch-by-batch dispatch
-	// order is timing-dependent and would break the generation-order
-	// guarantee for kernels launched after it.
+	// progs recycles CTA programs; comp holds one compiler per goroutine
+	// that compiles CTAs: [0] the timing thread, and under -par [1] the
+	// generation worker and [2+w] pre worker w.
+	progs progPool
+	comp  []compiler
+
+	// Par, when non-nil, pipelines CTA trace generation and compilation
+	// (with pre workers, footprint replay and compilation move off the
+	// generation worker) ahead of the timing clock. parOK drops to false —
+	// permanently, for the rest of the run — at the first persistent-kernel
+	// launch, whose batch-by-batch dispatch order is timing-dependent and
+	// would break the generation-order guarantee for kernels launched
+	// after it.
 	Par   *sim.ParEngine
 	parOK bool
 
@@ -136,8 +148,8 @@ type sm struct {
 	liveCTAs  int
 	liveWarps int
 	scratch   int
-	// freeWarps pools retired warp structs for reuse, keeping their lanes
-	// and coalescing buffers' capacity and their bound step closure.
+	// freeWarps pools retired warp structs for reuse, keeping their bound
+	// step closure.
 	freeWarps []*warp
 }
 
@@ -150,10 +162,7 @@ func (s *sm) takeWarp(cs *ctaState, now sim.Tick) *warp {
 		wp.cta = cs
 		wp.t = now
 		wp.ended = false
-		wp.lanes = wp.lanes[:0]
-		wp.plan = nil
-		wp.planInst = 0
-		wp.planOff = 0
+		wp.pc, wp.line = 0, 0
 		return wp
 	}
 	wp := &warp{sm: s, cta: cs, t: now}
@@ -165,6 +174,9 @@ func (s *sm) takeWarp(cs *ctaState, now sim.Tick) *warp {
 func New(eng *sim.Engine, cfg config.GPUConfig, l1s []*memory.Cache, vmgr *vm.Manager, lineBytes int, ctr *stats.Counters) *GPU {
 	if len(l1s) != cfg.SMs {
 		panic("gpucore: need one L1 per SM")
+	}
+	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
+		panic("gpucore: line size must be a positive power of two")
 	}
 	if ctr == nil {
 		ctr = stats.NewCounters()
@@ -178,6 +190,7 @@ func New(eng *sim.Engine, cfg config.GPUConfig, l1s []*memory.Cache, vmgr *vm.Ma
 		L1s:       l1s,
 		LineBytes: lineBytes,
 		warpsz:    cfg.WarpSize,
+		comp:      make([]compiler, 1),
 	}
 	g.cCTAs = ctr.Handle("gpu.ctas")
 	g.cFLOPs = ctr.Handle("gpu.flops")
@@ -196,6 +209,9 @@ func New(eng *sim.Engine, cfg config.GPUConfig, l1s []*memory.Cache, vmgr *vm.Ma
 func (g *GPU) UsePar(p *sim.ParEngine) {
 	g.Par = p
 	g.parOK = p != nil
+	if p != nil {
+		g.comp = make([]compiler, 2+p.PreWorkers())
+	}
 }
 
 // Launch enqueues a kernel to start at time at. Multiple in-flight kernels
@@ -224,27 +240,26 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 // generation order equals the order serial dispatch would have called Gen
 // in (dispatch drains the queue head first: all of an earlier kernel's
 // CTAs, in increasing index order, generate before a later kernel's
-// first). With pre workers, each generated CTA is then pre-processed —
-// footprint replay into a worker shard plus a coalescing plan — before the
-// timing thread consumes it in startCTA.
+// first). Each generated CTA is compiled into its program inside the
+// generation job, or — with pre workers — on a pre worker after its
+// footprint replay into that worker's shard, before the timing thread
+// consumes it in startCTA.
 func (g *GPU) pipeline(k *Kernel) {
 	gen := k.GenPar
 	if gen == nil {
 		gen = k.Gen
 	}
-	genFn := func(i int) any { return gen(i) }
 	if g.Par.PreWorkers() == 0 {
-		k.stream = g.Par.Pipeline(k.CTAs, genFn, nil)
+		k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return g.compile(&g.comp[1], k, gen(i)) }, nil)
 		return
 	}
 	touch := k.PreTouch
-	warpsz, lineBytes := g.warpsz, g.LineBytes
-	k.stream = g.Par.Pipeline(k.CTAs, genFn, func(worker, i int, v any) any {
+	k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return gen(i) }, func(worker, i int, v any) any {
 		ar := v.(*isa.Arena)
 		if touch != nil {
 			touch(worker, ar.Lanes)
 		}
-		return &ctaOut{ar: ar, plan: buildCTAPlan(ar.Lanes, warpsz, lineBytes)}
+		return g.compile(&g.comp[2+worker], k, ar)
 	})
 }
 
@@ -372,11 +387,11 @@ func (s *sm) canTake(k *Kernel) bool {
 type ctaState struct {
 	sm        *sm
 	k         *Kernel
-	ar        *isa.Arena // the CTA's lane traces, released at retirement
-	b         *ctaBatch  // owning feed batch (persistent kernels only)
-	fl        *uint64    // flops accumulator: &k.flops or &b.flops
-	idx       int        // CTA index within the grid
-	start     sim.Tick   // residency start, for the trace span
+	p         *prog     // the CTA's compiled program, recycled at retirement
+	b         *ctaBatch // owning feed batch (persistent kernels only)
+	fl        *uint64   // flops accumulator: &k.flops or &b.flops
+	idx       int       // CTA index within the grid
+	start     sim.Tick  // residency start, for the trace span
 	liveWarps int
 	// barrier state
 	arrived int
@@ -386,27 +401,17 @@ type ctaState struct {
 
 func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	now := s.g.Eng.Now()
-	var ar *isa.Arena
-	var plan *ctaPlan
+	var p *prog
 	if k.stream != nil {
 		// Pipelined kernel: CTAs dispatch in increasing index order (the
 		// order the pump generated them in), so the stream's next result is
 		// exactly this CTA's.
-		switch v := k.stream.Next().(type) {
-		case *ctaOut:
-			ar, plan = v.ar, v.plan
-		case *isa.Arena:
-			ar = v
-		}
+		p = k.stream.Next().(*prog)
 	} else {
-		ar = k.Gen(ctaIdx)
-	}
-	traces := ar.Lanes
-	if len(traces) != k.ThreadsPerTA {
-		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
+		p = s.g.compile(&s.g.comp[0], k, k.Gen(ctaIdx))
 	}
 	w := s.g.warpsNeeded(k)
-	cs := &ctaState{sm: s, k: k, ar: ar, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
+	cs := &ctaState{sm: s, k: k, p: p, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
 	for _, b := range k.batches {
 		if ctaIdx >= b.start && ctaIdx < b.end {
 			cs.b = b
@@ -421,18 +426,8 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	s.scratch += k.ScratchBytes
 	s.g.cCTAs.Inc()
 	for wi := 0; wi < w; wi++ {
-		lo := wi * s.g.warpsz
-		hi := lo + s.g.warpsz
-		if hi > len(traces) {
-			hi = len(traces)
-		}
 		wp := s.takeWarp(cs, now)
-		if plan != nil {
-			wp.plan = &plan.warps[wi]
-		}
-		for _, tr := range traces[lo:hi] {
-			wp.lanes = append(wp.lanes, laneCursor{tr: tr})
-		}
+		wp.ops, wp.lines = p.warp(wi)
 		s.g.Eng.AtD(sim.DomainGPU, now, wp.stepFn)
 	}
 }
@@ -449,11 +444,10 @@ func (cs *ctaState) warpDone(end sim.Tick) {
 		return
 	}
 	// CTA complete: release resources, backfill, maybe finish the kernel.
-	// Every warp has finished replaying, so nothing reads the traces now.
+	// Every warp has finished replaying, so nothing reads the program now.
 	cs.traceCTA(end)
-	if cs.k.Release != nil {
-		cs.k.Release(cs.ar)
-	}
+	s.g.progs.put(cs.p)
+	cs.p = nil
 	s.liveCTAs--
 	s.scratch -= cs.k.ScratchBytes
 	cs.k.live--
@@ -496,32 +490,19 @@ func (cs *ctaState) traceCTA(end sim.Tick) {
 		fmt.Sprintf("%s cta %d", cs.k.Name, cs.idx), cs.start, end)
 }
 
-type laneCursor struct {
-	tr  isa.Trace
-	idx int
-}
-
-func (lc *laneCursor) done() bool { return lc.idx >= len(lc.tr) }
-
 type warp struct {
-	sm    *sm
-	cta   *ctaState
-	lanes []laneCursor
-	t     sim.Tick
-	ended bool
+	sm  *sm
+	cta *ctaState
+	// ops and lines are this warp's slice of its CTA's program; pc is the
+	// next instruction and line the next memory op's first line.
+	ops      []wop
+	lines    []memory.Addr
+	pc, line int
+	t        sim.Tick
+	ended    bool
 	// stepFn is w.step bound once at construction; scheduling it avoids a
 	// method-value closure allocation on every suspend/resume.
 	stepFn func()
-	// lineBuf is the reused coalescing scratch buffer: memoryOp gathers the
-	// op's unique lines into it instead of allocating a fresh slice per
-	// memory instruction.
-	lineBuf []memory.Addr
-	// plan, when non-nil, is this warp's precomputed coalesced line lists
-	// (built off-thread by a pre worker); planInst/planOff cursor through
-	// it in memory-op issue order.
-	plan     *warpPlan
-	planInst int
-	planOff  int
 }
 
 // step replays warp instructions until it blocks on memory, hits a barrier,
@@ -531,74 +512,32 @@ func (w *warp) step() {
 	limit := w.t + quantum
 
 	for w.t < limit {
-		// SIMT merge: the lowest-numbered unfinished lane leads; every
-		// unfinished lane whose next op matches its kind participates.
-		// Divergent lanes wait for a later slot — branch serialization.
-		lead := -1
-		for i := range w.lanes {
-			if !w.lanes[i].done() {
-				lead = i
-				break
-			}
-		}
-		if lead < 0 {
+		if w.pc == len(w.ops) {
 			w.finish()
 			return
 		}
-		kind := w.lanes[lead].tr[w.lanes[lead].idx].Kind
-
-		switch kind {
+		op := &w.ops[w.pc]
+		w.pc++
+		switch op.kind {
 		case isa.OpSync:
-			// All unfinished lanes must be at the barrier in well-formed
-			// code; advance every lane currently at a sync.
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpSync {
-					lc.idx++
-				}
-			}
 			if w.barrier() {
 				return // suspended until the last warp arrives
 			}
-			continue
 
 		case isa.OpCompute:
-			var maxN uint32
-			var sum uint64
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpCompute {
-					n := lc.tr[lc.idx].N
-					if n > maxN {
-						maxN = n
-					}
-					sum += uint64(n)
-					lc.idx++
-				}
-			}
-			cyc := int64(maxN)
-			if cyc < 1 {
-				cyc = 1
-			}
+			cyc := int64(max(op.n, 1))
 			start := w.sm.issue.Claim(w.t, g.Clk.Cycles(cyc))
 			w.t = start + g.Clk.Cycles(cyc)
-			*w.cta.fl += sum
-			g.cFLOPs.Add(sum)
+			*w.cta.fl += op.sum
+			g.cFLOPs.Add(op.sum)
 
 		case isa.OpScratch:
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpScratch {
-					lc.idx++
-				}
-			}
 			start := w.sm.issue.Claim(w.t, g.Clk.Cycles(1))
 			w.t = start + g.Clk.Cycles(1)
 			g.cScratchOps.Inc()
 
-		case isa.OpLoad, isa.OpLoadDep, isa.OpStore, isa.OpAtomic:
-			blocked := w.memoryOp(kind)
-			if blocked {
+		default:
+			if w.memoryOp(op.kind, int(op.n)) {
 				return // rescheduled at completion time
 			}
 		}
@@ -606,149 +545,17 @@ func (w *warp) step() {
 	g.Eng.AtD(sim.DomainGPU, w.t, w.stepFn)
 }
 
-// ctaOut is a pre worker's product for one CTA: its lane traces plus the
-// precomputed coalescing plan for its warps.
-type ctaOut struct {
-	ar   *isa.Arena
-	plan *ctaPlan
-}
-
-// ctaPlan holds per-warp coalescing plans for one CTA.
-type ctaPlan struct {
-	warps []warpPlan
-}
-
-// warpPlan is one warp's memory ops flattened in issue order: counts[j]
-// lines for the j-th memory op, stored contiguously in lines.
-type warpPlan struct {
-	lines  []memory.Addr
-	counts []int32
-}
-
-// buildCTAPlan precomputes each warp's coalesced line lists by replaying
-// step()'s SIMT sequencing over the traces. Which ops issue, in what
-// per-warp order, with which participant lanes is a pure function of the
-// trace contents — timing decides only when — so a plan built off-thread
-// matches the live replay exactly. Sync, compute, and scratch ops advance
-// lanes without producing lines; memory ops run the same coalesce body
-// memoryOp would.
-func buildCTAPlan(traces []isa.Trace, warpsz, lineBytes int) *ctaPlan {
-	nw := (len(traces) + warpsz - 1) / warpsz
-	plan := &ctaPlan{warps: make([]warpPlan, nw)}
-	var lanes []laneCursor
-	for wi := 0; wi < nw; wi++ {
-		lo := wi * warpsz
-		hi := lo + warpsz
-		if hi > len(traces) {
-			hi = len(traces)
-		}
-		lanes = lanes[:0]
-		for _, tr := range traces[lo:hi] {
-			lanes = append(lanes, laneCursor{tr: tr})
-		}
-		wp := &plan.warps[wi]
-		for {
-			lead := -1
-			for i := range lanes {
-				if !lanes[i].done() {
-					lead = i
-					break
-				}
-			}
-			if lead < 0 {
-				break
-			}
-			kind := lanes[lead].tr[lanes[lead].idx].Kind
-			switch kind {
-			case isa.OpSync, isa.OpCompute, isa.OpScratch:
-				advanceLanes(lanes, kind)
-			default:
-				base := len(wp.lines)
-				wp.lines = coalesce(wp.lines, lanes, kind, lineBytes)
-				wp.counts = append(wp.counts, int32(len(wp.lines)-base))
-			}
-		}
-	}
-	return plan
-}
-
-// coalesce advances every lane whose next op matches kind and appends that
-// op's unique line addresses to buf (deduplicated against buf's tail from
-// base on, i.e. within this op only), returning the extended buffer. It is
-// the single implementation of address coalescing, shared by the live
-// memoryOp path and the off-thread plan builder — one body, so the two can
-// never disagree on which transactions an op produces.
-func coalesce(buf []memory.Addr, lanes []laneCursor, kind isa.OpKind, lineBytes int) []memory.Addr {
-	base := len(buf)
-	for i := range lanes {
-		lc := &lanes[i]
-		if lc.done() || lc.tr[lc.idx].Kind != kind {
-			continue
-		}
-		op := lc.tr[lc.idx]
-		lc.idx++
-		n := memory.LinesSpanned(op.Addr, int(op.N), lineBytes)
-		for j := 0; j < n; j++ {
-			a := memory.LineAddr(op.Addr, lineBytes) + memory.Addr(j*lineBytes)
-			// Neighbouring lanes mostly hit the line just appended: check
-			// it before the scan (which would find it last).
-			if len(buf) > base && buf[len(buf)-1] == a {
-				continue
-			}
-			dup := false
-			for _, l := range buf[base:] {
-				if l == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				buf = append(buf, a)
-			}
-		}
-	}
-	return buf
-}
-
-// advanceLanes advances every lane whose next op matches kind, without
-// collecting addresses — the lane bookkeeping half of coalesce, used when a
-// precomputed plan already holds the op's line list.
-func advanceLanes(lanes []laneCursor, kind isa.OpKind) {
-	for i := range lanes {
-		lc := &lanes[i]
-		if !lc.done() && lc.tr[lc.idx].Kind == kind {
-			lc.idx++
-		}
-	}
-}
-
-// memoryOp issues a coalesced memory instruction. Loads and atomics block
-// the warp until all transactions complete (stall-on-use); stores are
-// posted. It reports whether the warp suspended (a resume event was
-// scheduled).
-func (w *warp) memoryOp(kind isa.OpKind) bool {
+// memoryOp issues a memory instruction's n coalesced lines, the next in
+// the warp's program. Loads and atomics block the warp until all
+// transactions complete (stall-on-use); stores are posted. It reports
+// whether the warp suspended (a resume event was scheduled).
+func (w *warp) memoryOp(kind isa.OpKind, n int) bool {
 	g := w.sm.g
 	write := kind == isa.OpStore || kind == isa.OpAtomic
 
-	var lines []memory.Addr
-	if pl := w.plan; pl != nil {
-		// Precomputed path: the pre worker already coalesced this op's
-		// lines; just advance the lanes and take the next plan entry.
-		if w.planInst >= len(pl.counts) {
-			panic("gpucore: coalescing plan diverged from replay for kernel " + w.cta.k.Name)
-		}
-		advanceLanes(w.lanes, kind)
-		n := int(pl.counts[w.planInst])
-		lines = pl.lines[w.planOff : w.planOff+n]
-		w.planInst++
-		w.planOff += n
-	} else {
-		// Gather participant addresses and coalesce into unique lines,
-		// reusing the warp's scratch buffer.
-		lines = coalesce(w.lineBuf[:0], w.lanes, kind, g.LineBytes)
-		w.lineBuf = lines
-	}
-	g.cMemTransactions.Add(uint64(len(lines)))
+	lines := w.lines[w.line : w.line+n]
+	w.line += n
+	g.cMemTransactions.Add(uint64(n))
 	if kind == isa.OpAtomic {
 		g.cAtomics.Inc()
 	}

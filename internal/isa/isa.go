@@ -83,25 +83,32 @@ type Arena struct {
 	ends  []int
 }
 
-// arenaKeep is the op capacity an arena may keep regardless of hints
-// (64 KB): below it, resizing would cost more than the memory it frees.
+// arenaKeep is the element capacity a recycled buffer may keep regardless
+// of hints (64 KB of ops): below it, resizing would cost more than the
+// memory it frees.
 const arenaKeep = 1 << 12
 
+// Reserve empties a recycled buffer for reuse, sized for hint elements. A
+// buffer smaller than hint, or more than four times larger (and above
+// arenaKeep elements), is replaced by one of exactly hint elements: a
+// producer passing its previous item's size grows each buffer once rather
+// than by doubling, and one outsized item does not leave every buffer it
+// passes through outsized. hint 0 keeps the buffer as it is.
+func Reserve[T any](buf []T, hint int) []T {
+	if c := cap(buf); c < hint || (hint > 0 && c > 4*hint && c > arenaKeep) {
+		return make([]T, 0, hint)
+	}
+	return buf[:0]
+}
+
 // Open empties a for reuse and returns its op buffer (length zero) sized
-// for hint ops. A buffer smaller than hint, or more than four times larger
-// (and above arenaKeep), is replaced by one of exactly hint ops: a
-// generator passing its previous CTA's size grows each arena once rather
-// than by doubling, and one outsized CTA does not leave every arena it
-// passes through outsized. hint 0 keeps the buffer as it is. The
-// generator appends lane ops to the buffer, calling EndLane after each
-// lane.
+// for hint ops by the Reserve rule. The generator appends lane ops to the
+// buffer, calling EndLane after each lane.
 func (a *Arena) Open(hint int) Trace {
 	a.Lanes = a.Lanes[:0]
 	a.ends = a.ends[:0]
-	if c := cap(a.ops); c < hint || (hint > 0 && c > 4*hint && c > arenaKeep) {
-		a.ops = make(Trace, 0, hint)
-	}
-	return a.ops[:0]
+	a.ops = Reserve(a.ops, hint)
+	return a.ops
 }
 
 // EndLane closes the current lane. buf is the op buffer with that lane's
