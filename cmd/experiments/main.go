@@ -3,45 +3,22 @@
 // Usage:
 //
 //	experiments [-exp all|table1|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|faults]
-//	            [-size small|medium] [-only NAME[,NAME...]] [-jobs N] [-par N]
-//	            [-timeout 60s] [-max-events N] [-stall 30s]
-//	            [-state DIR] [-resume]
-//	            [-inject PLAN] [-csv DIR] [-json FILE] [-q] [-metrics]
-//	            [-trace FILE] [-flame] [-progress]
-//	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
+//	            [-only NAME[,NAME...]] [-csv DIR] [-json FILE] [-q] [-metrics]
+//	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR] [run flags]
 //
 // Figures 4-10 come from one shared sweep of every benchmark in copy and
 // limited-copy mode (plus each benchmark's restructured organizations);
 // Figure 3 additionally runs the kmeans restructured organizations, and
 // Figure 10 compares every measured overlapped organization against the
-// Eq. 1 Rco bound from its baseline run. The sweep's runs execute on
-// -jobs workers (default GOMAXPROCS), and -par additionally parallelizes
-// each run internally (trace generation pipelined against the timing
-// model); output is byte-identical for every -jobs and -par value.
-// Sweeps are fault-tolerant: a run that panics, deadlocks, or exceeds its
-// -timeout/-max-events budget is recorded and footnoted in the figures
-// instead of aborting the sweep. -inject degrades the simulated hardware
-// for every run (see -exp faults for the curated degradation matrix).
-// -csv and -json export the sweep's rows for external tooling.
+// Eq. 1 Rco bound from its baseline run. A run that fails is footnoted in
+// the figures instead of aborting the sweep; see -exp faults for the
+// curated degradation matrix. -csv and -json export the sweep's rows for
+// external tooling.
 //
-// -trace records the shared sweep into a Chrome trace-event / Perfetto
-// JSON file (one process per run; open it at https://ui.perfetto.dev).
-// -flame prints a text flame summary of the trace to stderr. -progress
-// emits live per-run start/retry/done lines on stderr; figures on stdout
-// stay byte-identical with it on or off.
-//
-// -state DIR makes the shared sweep crash-safe: every completed run is
-// appended durably to DIR/sweep.journal, and -resume replays that journal
-// — re-running only the missing runs — to produce output byte-identical
-// to an uninterrupted sweep. The journal is fingerprinted by the sweep
-// configuration; resuming under a different configuration is rejected.
-// SIGINT/SIGTERM shut down gracefully: the first signal stops dispatching
-// new runs, drains (and journals) the in-flight ones, and writes a
-// partial report; a second signal aborts the in-flight runs too; a third
-// restores default signal behavior. An interrupted sweep exits 130.
-// -stall kills any run whose simulated clock stops advancing for the
-// given wall-clock window while events still execute (a livelock) and
-// footnotes it like any other failed run.
+// The run flags — -size -jobs -par -timeout -max-events -stall -state
+// -resume -inject -trace -flame -progress — are shared with cmd/hetsim
+// and documented in cmd/internal/cli. They apply to the shared sweep;
+// -state DIR journals it into DIR/sweep.journal.
 //
 // -cpuprofile/-memprofile write pprof profiles of the command itself
 // (the simulator host process, not the simulated machine); -pprof serves
@@ -59,12 +36,10 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/bench"
+	"repro/cmd/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	"repro/internal/sweep"
-	"repro/internal/trace"
 
 	_ "repro/internal/suites/lonestar"
 	_ "repro/internal/suites/pannotia"
@@ -80,26 +55,15 @@ func main() {
 // error exits; main turns its return into the process exit code.
 func run() int {
 	exp := flag.String("exp", "all", "which experiment: all, table1, table2, fig3..fig10, ablation, faults (comma-separated)")
-	sizeFlag := flag.String("size", "small", "input scale: small or medium")
 	csvDir := flag.String("csv", "", "also export the sweep as CSV files into this directory")
 	jsonPath := flag.String("json", "", "also export the sweep's rows and summaries as JSON to this file")
-	jobs := flag.Int("jobs", 0, "worker-pool size for sweep runs (0 = GOMAXPROCS, 1 = serial)")
-	par := flag.Int("par", 0, "intra-run simulation workers per run (0/1 = serial; results byte-identical for every value)")
 	only := flag.String("only", "", "restrict the shared sweep to these full benchmark names (comma-separated)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
-	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
-	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "checkpoint the shared sweep into DIR/sweep.journal for crash-safe resume")
-	resume := flag.Bool("resume", false, "replay DIR/sweep.journal (requires -state) and run only the missing runs")
-	inject := flag.String("inject", "", "hardware fault plan for every run, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	metricsDump := flag.Bool("metrics", false, "print run-lifecycle metrics (Prometheus text format) to stderr at exit")
-	tracePath := flag.String("trace", "", "record the shared sweep as a Chrome trace-event / Perfetto JSON trace to this file")
-	flame := flag.Bool("flame", false, "print a text flame summary of the sweep trace to stderr (implies tracing)")
-	progress := flag.Bool("progress", false, "emit live per-run progress lines on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the command to this file at exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	rf := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *metricsDump {
@@ -149,21 +113,7 @@ func run() int {
 		}
 	}
 
-	size := bench.SizeSmall
-	switch *sizeFlag {
-	case "small":
-	case "medium":
-		size = bench.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q\n", *sizeFlag)
-		return 2
-	}
-	budget := harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout}
-	fault, err := harness.ParseFaultPlan(*inject)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-inject: %v\n", err)
-		return 2
-	}
+	size, budget := rf.Size, rf.Budget
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
@@ -207,18 +157,11 @@ func run() int {
 	if !needSweep {
 		return 0
 	}
-	opts := experiments.SweepOpts{
-		Budget:   budget,
-		Fault:    fault,
-		Jobs:     *jobs,
-		Parallel: *par,
-		Stall:    *stall,
-		Trace:    *tracePath != "" || *flame,
-		OnProgress: func(name, mode string) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "running %s (%s)...\n", name, mode)
-			}
-		},
+	opts := rf.Opts()
+	opts.OnProgress = func(name, mode string) {
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", name, mode)
+		}
 	}
 	if *only != "" {
 		for _, n := range strings.Split(*only, ",") {
@@ -227,58 +170,36 @@ func run() int {
 			}
 		}
 	}
-	if *progress {
-		opts.Progress = sweep.NewTracker(os.Stderr, 0)
-	}
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -state DIR")
+	state, err := rf.OpenState(func(dir string, resume bool) (*harness.RunLog, error) {
+		return experiments.OpenState(dir, resume, size, opts)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if *stateDir != "" {
-		state, err := experiments.OpenState(*stateDir, *resume, size, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint journal: %v\n", err)
-			return 2
-		}
-		defer state.Close()
-		opts.State = state
-		if state.Resumed() {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d runs already journaled\n",
-				state.Path(), state.ReplayedCount())
-		}
-	}
-	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
-	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
+	defer state.Close()
+	opts.State = state
+	stop := cli.Interruptible(&opts)
 	res, errs := experiments.RunSweep(size, opts)
-	// Read the interrupt state before stopSignals, which cancels both
-	// contexts as part of releasing the handler.
-	interrupted := dispatchCtx.Err() != nil
-	stopSignals()
+	interrupted := stop()
 	for i := range errs {
 		fmt.Fprintf(os.Stderr, "run failed: %v\n", &errs[i])
 	}
-	if err := opts.State.Err(); err != nil {
+	if err := state.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: checkpoint journaling failed mid-sweep: %v\n", err)
 		fmt.Fprintln(os.Stderr, "warning: the sweep continued without persistence (degraded); results below are complete but an interrupted re-run cannot resume past this point")
 	}
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %d of %d runs completed; output below is a partial report\n",
 			len(res.Runs), len(res.Runs)+len(res.Skipped))
-		if *stateDir != "" {
-			fmt.Fprintf(os.Stderr, "resume with: -state %s -resume\n", *stateDir)
-		}
+		rf.ResumeHint()
 	}
-	if *tracePath != "" {
-		if err := trace.WriteFile(*tracePath, res.Traces); err != nil {
-			fmt.Fprintf(os.Stderr, "trace export failed: %v\n", err)
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote trace to %s\n", *tracePath)
-		}
+	if err := rf.WriteTrace(res.Traces); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *flame {
-		fmt.Fprint(os.Stderr, trace.FlameText(res.Traces))
+	if rf.TracePath != "" && !*quiet {
+		fmt.Fprintf(os.Stderr, "wrote trace to %s\n", rf.TracePath)
 	}
 	if *csvDir != "" {
 		if err := experiments.WriteCSVs(*csvDir, res); err != nil {

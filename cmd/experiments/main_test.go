@@ -127,3 +127,25 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 		t.Fatalf("missing fingerprint diagnostic:\n%s", out)
 	}
 }
+
+// TestUsageErrorsExitBeforeSweep: an unknown size or a fault plan that
+// yields an invalid machine exits 2 before any run starts.
+func TestUsageErrorsExitBeforeSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	bin := buildBinary(t, t.TempDir())
+	for _, args := range [][]string{
+		{"-size", "large"},
+		{"-inject", "fault=NaN"},
+		{"-inject", "dram=99:0:5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-exp", "fig4", "-only", "rodinia/kmeans", "-q"}, args...)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %v, want 2 before any run; stdout %q, stderr:\n%s", args, err, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -5,38 +5,20 @@
 // Usage:
 //
 //	hetsim -bench rodinia/kmeans[,parboil/spmv,...] [-mode copy|limited-copy|async-streams|parallel-chunked]
-//	       [-size small|medium] [-jobs N] [-par N] [-timeout 60s] [-max-events N] [-stall 30s]
-//	       [-state DIR] [-resume]
-//	       [-inject PLAN] [-json FILE] [-counters]
-//	       [-trace FILE] [-flame] [-progress]
+//	       [-json FILE] [-counters] [run flags]
 //	hetsim -list
 //
-// -bench takes a comma-separated list; the runs execute on -jobs workers
-// (default GOMAXPROCS), -par additionally parallelizes each run internally
-// (byte-identical output for every value), and the reports print in the
-// order listed. Runs
-// execute under the fault-tolerant harness: a panic, deadlock, or exceeded
-// -timeout/-max-events budget terminates with a diagnostic instead of
-// crashing or hanging, and a budget-exceeded medium run is retried once at
-// small. -inject degrades the simulated hardware, e.g.
-// -inject pcie=0.25,fault=8,dram=0:100:600. -json exports every outcome
-// (report, attempts, errors) as a JSON array.
+// -bench takes a comma-separated list, run in one mode; the reports print
+// in the order listed. -json exports every outcome (report, attempts,
+// errors) as a JSON array. -counters dumps every hardware counter after
+// each report; replayed runs carry no live machine, so it prints a note
+// for them instead.
 //
-// -trace records every run into a Chrome trace-event / Perfetto JSON file
-// (one process per run; open it at https://ui.perfetto.dev). -flame prints
-// a text flame summary of the trace to stderr. -progress emits live
-// per-run start/retry/done lines on stderr; reports on stdout stay
-// byte-identical with it on or off.
-//
-// -state DIR checkpoints every completed run into DIR/hetsim.journal;
-// -resume replays the journal and re-runs only the missing benchmarks,
-// printing the same reports an uninterrupted invocation would. The
-// journal is fingerprinted by the run configuration and rejected when it
-// does not match. SIGINT/SIGTERM drain in-flight runs on the first
-// signal, abort them on the second; an interrupted invocation exits 130.
-// -stall kills a run whose simulated clock freezes for the given window
-// while events still execute. Replayed runs carry no live machine, so
-// -counters prints a note for them instead of the counter dump.
+// The run flags — -size -jobs -par -timeout -max-events -stall -state
+// -resume -inject -trace -flame -progress — are shared with
+// cmd/experiments and documented in cmd/internal/cli; the runs go through
+// the same checkpointed run loop as the figure sweeps
+// (experiments.RunSlots). -state DIR journals into DIR/hetsim.journal.
 package main
 
 import (
@@ -44,17 +26,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
-	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bench"
-	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/journal"
-	"repro/internal/sweep"
-	"repro/internal/trace"
 
 	_ "repro/internal/suites/lonestar"
 	_ "repro/internal/suites/pannotia"
@@ -65,35 +42,21 @@ import (
 func main() {
 	name := flag.String("bench", "", "benchmark full name (suite/name), or a comma-separated list")
 	modeFlag := flag.String("mode", "copy", "copy, limited-copy, async-streams, or parallel-chunked")
-	sizeFlag := flag.String("size", "small", "small or medium")
-	jobs := flag.Int("jobs", 0, "worker-pool size when running several benchmarks (0 = GOMAXPROCS)")
-	par := flag.Int("par", 0, "intra-run simulation workers per run (0/1 = serial; results byte-identical for every value)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
-	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
-	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "checkpoint completed runs into DIR/hetsim.journal for crash-safe resume")
-	resume := flag.Bool("resume", false, "replay DIR/hetsim.journal (requires -state) and run only the missing benchmarks")
-	inject := flag.String("inject", "", "hardware fault plan, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	jsonPath := flag.String("json", "", "export every run's outcome as a JSON array to this file")
 	counters := flag.Bool("counters", false, "also dump every hardware counter")
-	tracePath := flag.String("trace", "", "record a Chrome trace-event / Perfetto JSON trace to this file")
-	flame := flag.Bool("flame", false, "print a text flame summary of the trace to stderr (implies tracing)")
-	progress := flag.Bool("progress", false, "emit live per-run progress lines on stderr")
 	list := flag.Bool("list", false, "list available benchmarks")
+	rf := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
 		fmt.Printf("%-26s %-42s %s\n", "NAME", "MODES", "DESCRIPTION")
 		for _, b := range bench.All() {
 			info := b.Info()
-			modes := ""
-			for i, m := range info.Modes() {
-				if i > 0 {
-					modes += ","
-				}
-				modes += m.String()
+			var modes []string
+			for _, m := range info.Modes() {
+				modes = append(modes, m.String())
 			}
-			fmt.Printf("%-26s %-42s %s\n", info.FullName(), modes, info.Desc)
+			fmt.Printf("%-26s %-42s %s\n", info.FullName(), strings.Join(modes, ","), info.Desc)
 		}
 		return
 	}
@@ -103,17 +66,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	size := bench.SizeSmall
-	if *sizeFlag == "medium" {
-		size = bench.SizeMedium
-	}
-	fault, err := harness.ParseFaultPlan(*inject)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-inject: %v\n", err)
-		os.Exit(2)
-	}
 
 	var benches []bench.Benchmark
+	var slots []experiments.Slot
 	for _, n := range strings.Split(*name, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
@@ -126,130 +81,45 @@ func main() {
 			os.Exit(1)
 		}
 		benches = append(benches, b)
+		slots = append(slots, experiments.Slot{Bench: b, Mode: mode})
 	}
 	if len(benches) == 0 {
 		fmt.Fprintln(os.Stderr, "no benchmark given; use -bench NAME[,NAME...] or -list")
 		os.Exit(2)
 	}
 
-	tracing := *tracePath != "" || *flame
-	var recs []*trace.Recorder
-	if tracing {
-		recs = make([]*trace.Recorder, len(benches))
-		for i := range recs {
-			recs[i] = trace.New()
-		}
-	}
-	var prog *sweep.Tracker
-	if *progress {
-		prog = sweep.NewTracker(os.Stderr, len(benches))
-	}
-
-	// The checkpoint journal, when -state is given: completed runs append
-	// durably, and -resume replays them instead of re-running.
-	var state *harness.RunLog
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -state DIR")
+	opts := rf.Opts()
+	state, err := rf.OpenState(func(dir string, resume bool) (*harness.RunLog, error) {
+		return experiments.OpenListState(dir, resume, rf.Size, mode, benches, opts)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *stateDir != "" {
-		slots := make([]string, len(benches))
-		for i, b := range benches {
-			slots[i] = b.Info().FullName() + "|" + mode.String()
-		}
-		fp := fingerprint(benches, mode, size, fault,
-			harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout}, *stall, tracing)
-		path := filepath.Join(*stateDir, "hetsim.journal")
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "-state: %v\n", err)
-			os.Exit(2)
-		}
-		var err error
-		if *resume {
-			state, err = harness.OpenRunLog(path, "hetsim", fp, slots)
-		} else {
-			state, err = harness.CreateRunLog(path, "hetsim", fp, slots)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint journal: %v\n", err)
-			os.Exit(2)
-		}
-		if state.Resumed() {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d runs already journaled\n",
-				state.Path(), state.ReplayedCount())
-		}
-	}
-	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
+	opts.State = state
 
 	// Run every benchmark on the worker pool; print in the order listed.
-	// Journaled runs are filled before dispatch and skipped by the pool.
-	outs := make([]*harness.Outcome, len(benches))
-	for i, b := range benches {
-		if out := state.Replayed(b.Info().FullName() + "|" + mode.String()); out != nil {
-			outs[i] = out
-			prog.Replay(b.Info().FullName() + " " + mode.String())
-		}
-	}
-	sweep.Each(dispatchCtx, *jobs, len(benches), func(i int) {
-		if outs[i] != nil {
-			return // replayed from the journal
-		}
-		runName := benches[i].Info().FullName() + " " + mode.String()
-		prog.Start(runName)
-		spec := harness.Spec{
-			Bench: benches[i], Mode: mode, Size: size,
-			Budget:   harness.Budget{MaxEvents: *maxEvents, Timeout: time.Duration(*timeout)},
-			Fault:    fault,
-			Ctx:      runCtx,
-			Stall:    *stall,
-			Parallel: *par,
-		}
-		if tracing {
-			spec.Trace = recs[i]
-		}
-		if prog != nil {
-			spec.OnRetry = func(next bench.Size, err *harness.RunError) {
-				prog.Retry(runName, fmt.Sprintf("at %s after %s", next, err.Kind))
+	// The counter dump is taken while each run's machine is still live.
+	ctrs := make([]string, len(slots))
+	var done func(int, *harness.Outcome)
+	if *counters {
+		done = func(i int, out *harness.Outcome) {
+			if out.Sys != nil {
+				ctrs[i] = out.Sys.Ctr.String()
 			}
 		}
-		outs[i] = harness.Run(spec)
-		state.Append(benches[i].Info().FullName()+"|"+mode.String(), outs[i])
-		if out := outs[i]; out.Err != nil {
-			prog.Finish(runName, false, out.Err.Kind.String()+": "+out.Err.Msg)
-		} else {
-			prog.Finish(runName, true, fmt.Sprintf("%.3f ms sim, %d events", out.SimTime.Millis(), out.Events))
-		}
-	})
-	prog.Summary()
-	// Read the interrupt state before stopSignals, which cancels both
-	// contexts as part of releasing the handler.
-	interrupted := dispatchCtx.Err() != nil
-	stopSignals()
+	}
+	stop := cli.Interruptible(&opts)
+	outs, traces := experiments.RunSlots(rf.Size, slots, opts, done)
+	interrupted := stop()
 	if err := state.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: checkpoint journaling failed mid-run: %v\n", err)
 	}
 	state.Close()
 
-	if tracing {
-		var runs []trace.RunTrace
-		for i, b := range benches {
-			if outs[i] == nil {
-				continue // never dispatched (interrupted before start)
-			}
-			runs = append(runs, trace.RunTrace{
-				Name: b.Info().FullName() + " " + mode.String() + " " + outs[i].Size.String(),
-				Rec:  recs[i],
-			})
-		}
-		if *tracePath != "" {
-			if err := trace.WriteFile(*tracePath, runs); err != nil {
-				fmt.Fprintf(os.Stderr, "trace export failed: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *flame {
-			fmt.Fprint(os.Stderr, trace.FlameText(runs))
-		}
+	if err := rf.WriteTrace(traces); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if *jsonPath != "" {
@@ -288,53 +158,26 @@ func main() {
 		}
 		if out.Degraded {
 			fmt.Fprintf(os.Stderr, "note: ran at size %s after exceeding the budget at %s (%d attempts)\n",
-				out.Size, size, out.Attempts)
+				out.Size, rf.Size, out.Attempts)
 		}
-		if fault.Active() {
-			fmt.Printf("injected faults: %s\n", fault)
+		if rf.Fault.Active() {
+			fmt.Printf("injected faults: %s\n", rf.Fault)
 		}
 		fmt.Print(out.Report.String())
 		if *counters {
 			fmt.Println("\nhardware counters:")
-			if out.Sys == nil {
+			if ctrs[i] == "" {
 				fmt.Println("(replayed from journal; live counters not recorded)")
 			} else {
-				fmt.Print(out.Sys.Ctr.String())
+				fmt.Print(ctrs[i])
 			}
 		}
 	}
 	if interrupted || skipped > 0 {
-		if *stateDir != "" {
-			fmt.Fprintf(os.Stderr, "resume with: -state %s -resume\n", *stateDir)
-		}
+		rf.ResumeHint()
 		os.Exit(130)
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// fingerprint hashes everything that determines this invocation's
-// results — the simulated system configurations, size, mode, benchmark
-// list, fault plan, budgets, stall window, and tracing — so a journal is
-// only resumed under the identical configuration. The worker count is
-// excluded, as is the intra-run worker count: results are identical for
-// every -jobs and -par value.
-func fingerprint(benches []bench.Benchmark, mode bench.Mode, size bench.Size,
-	fault *harness.FaultPlan, budget harness.Budget, stall time.Duration, tracing bool) string {
-	var fp journal.Fingerprint
-	fp.Add("version", strconv.Itoa(journal.Version))
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-	fp.Add("size", size.String())
-	fp.Add("mode", mode.String())
-	for _, b := range benches {
-		fp.Add("bench", b.Info().FullName())
-	}
-	fp.Add("fault", fault.String())
-	fp.Add("max_events", strconv.FormatUint(budget.MaxEvents, 10))
-	fp.Add("timeout", budget.Timeout.String())
-	fp.Add("stall", stall.String())
-	fp.Add("trace", strconv.FormatBool(tracing))
-	return fp.Sum()
 }

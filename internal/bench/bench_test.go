@@ -79,3 +79,16 @@ func TestScaleN(t *testing.T) {
 		t.Fatal("ScaleN wrong")
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for _, z := range []Size{SizeSmall, SizeMedium} {
+		if got, err := ParseSize(z.String()); err != nil || got != z {
+			t.Fatalf("ParseSize(%q) = %v, %v", z.String(), got, err)
+		}
+	}
+	for _, s := range []string{"large", "", "Small", "size(2)"} {
+		if _, err := ParseSize(s); err == nil {
+			t.Fatalf("ParseSize(%q) should fail", s)
+		}
+	}
+}

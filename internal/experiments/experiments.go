@@ -6,8 +6,9 @@
 // Figure 9 (off-chip access classification).
 //
 // The pipeline has three stages. RunSweep executes every (benchmark, mode)
-// run — each an isolated simulation — on a bounded worker pool
-// (internal/sweep) and assembles the outcomes deterministically, so the
+// run — each an isolated simulation — through RunSlots, the checkpointed
+// run loop on a bounded worker pool (internal/sweep) that cmd/hetsim's run
+// lists share, and assembles the outcomes deterministically, so the
 // Results are byte-for-byte identical for every worker count. The FigNRows
 // functions (rows.go) reduce a sweep to typed rows plus summaries. The
 // renderers (render.go, csv.go, json.go) format those rows as text
@@ -145,34 +146,35 @@ type SweepOpts struct {
 	RequestID string
 }
 
-// Run executes the full sweep with default options. Failed runs come back
-// in the error slice (and in Results.Failed); completed runs are unaffected.
-func Run(size bench.Size, onProgress func(name, mode string)) (*Results, []harness.RunError) {
-	return RunSweep(size, SweepOpts{OnProgress: onProgress})
-}
-
 // RunSweep executes a fault-tolerant sweep: every selected benchmark in
 // copy and limited-copy mode plus its extra modes, each isolated under
 // harness.Run so one failing benchmark cannot abort the rest. Runs execute
-// concurrently on opts.Jobs workers; because every run builds its own
-// simulated machine and outcomes are collected per (benchmark, mode) slot
-// and assembled in the registry's stable order, the Results — including
-// the order of Failed and Notes — are identical for every worker count.
+// concurrently on opts.Jobs workers (see RunSlots); because outcomes are
+// assembled in the registry's stable (benchmark, mode) order, the Results
+// — including the order of Failed and Notes — are identical for every
+// worker count.
 func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
-	r := &Results{
-		Size:    size,
-		Copy:    map[string]*core.Report{},
-		Limited: map[string]*core.Report{},
-		Extra: map[bench.Mode]map[string]*core.Report{
-			bench.ModeAsyncStreams:    {},
-			bench.ModeParallelChunked: {},
-		},
-	}
-	// One slot per (benchmark, mode) run, in the registry's stable order —
-	// the order the serial sweep ran in, and the order assembly below
-	// walks regardless of which worker finishes first.
 	slots := sweepSlots(onlySet(opts.Only))
+	outs, traces := RunSlots(size, slots, opts, nil)
+	r := assemble(size, slots, outs)
+	r.Traces = traces
+	return r, r.Failed
+}
 
+// RunSlots is the checkpointed run loop under every sweep and run list.
+// It replays the slots opts.State already holds, runs the rest on
+// opts.Jobs workers under harness.Run, journals each finished run, and
+// reports progress. Every run builds its own simulated machine and writes
+// only its own slot, so the result is identical for every worker count.
+//
+// It returns one outcome per slot — nil where a canceled opts.Ctx stopped
+// dispatch first — and, with opts.Trace, one named trace per slot that has
+// an outcome, in slot order. done, when non-nil, sees each executed run's
+// outcome while its simulated machine is still live (replayed runs have
+// none and skip it); the machine is dropped once done returns, so a long
+// list never holds every run's System at once. done is called from the
+// workers and must be safe for concurrent use.
+func RunSlots(size bench.Size, slots []Slot, opts SweepOpts, done func(i int, out *harness.Outcome)) ([]*harness.Outcome, []trace.RunTrace) {
 	outs := make([]*harness.Outcome, len(slots))
 	var recs []*trace.Recorder
 	if opts.Trace {
@@ -190,7 +192,7 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	for i, s := range slots {
 		if out := opts.State.Replayed(s.key()); out != nil {
 			outs[i] = out
-			opts.Progress.Replay(s.name + " " + s.mode.String())
+			opts.Progress.Replay(s.label())
 		}
 	}
 
@@ -200,15 +202,15 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 			return // replayed from the journal
 		}
 		s := slots[i]
-		runName := s.name + " " + s.mode.String()
+		runName := s.label()
 		if opts.OnProgress != nil {
 			progressMu.Lock()
-			opts.OnProgress(s.name, s.mode.String())
+			opts.OnProgress(s.name(), s.Mode.String())
 			progressMu.Unlock()
 		}
 		opts.Progress.Start(runName)
 		spec := harness.Spec{
-			Bench: s.b, Mode: s.mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
+			Bench: s.Bench, Mode: s.Mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
 			Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
 			Parallel: opts.Parallel,
 		}
@@ -223,13 +225,16 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 		if opts.PerRun != nil {
 			opts.PerRun(&spec)
 		}
-		outs[i] = harness.Run(spec)
-		opts.State.Append(s.key(), outs[i])
-		// Nothing past the journal reads the simulated machine; holding
-		// every run's System until the sweep ends would set its RSS peak.
-		outs[i].Sys = nil
+		out := harness.Run(spec)
+		opts.State.Append(s.key(), out)
+		if done != nil {
+			done(i, out)
+		}
+		// Nothing past the hook reads the simulated machine; holding every
+		// run's System until the sweep ends would set its RSS peak.
+		out.Sys = nil
+		outs[i] = out
 		if opts.Progress != nil {
-			out := outs[i]
 			if out.Err != nil {
 				opts.Progress.Finish(runName, false, out.Err.Kind.String()+": "+out.Err.Msg)
 			} else {
@@ -239,16 +244,39 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	})
 	opts.Progress.Summary()
 
+	var traces []trace.RunTrace
+	if opts.Trace {
+		for i, s := range slots {
+			if outs[i] != nil {
+				traces = append(traces, trace.RunTrace{Name: s.label() + " " + outs[i].Size.String(), Rec: recs[i]})
+			}
+		}
+	}
+	return outs, traces
+}
+
+// assemble builds a sweep's Results from its per-slot outcomes, walking
+// the slots in order regardless of which worker finished first.
+func assemble(size bench.Size, slots []Slot, outs []*harness.Outcome) *Results {
+	r := &Results{
+		Size:    size,
+		Copy:    map[string]*core.Report{},
+		Limited: map[string]*core.Report{},
+		Extra: map[bench.Mode]map[string]*core.Report{
+			bench.ModeAsyncStreams:    {},
+			bench.ModeParallelChunked: {},
+		},
+	}
 	for i, s := range slots {
-		out := outs[i]
+		out, name := outs[i], s.name()
 		if out == nil {
 			// Never dispatched: the sweep was canceled first. Not a
 			// failure — a resumed sweep re-runs exactly these.
-			r.Skipped = append(r.Skipped, s.name+" "+s.mode.String())
+			r.Skipped = append(r.Skipped, s.label())
 			continue
 		}
 		meta := RunMeta{
-			Benchmark: s.name, Mode: s.mode, Size: out.Size,
+			Benchmark: name, Mode: s.Mode, Size: out.Size,
 			Attempts: out.Attempts, Degraded: out.Degraded, Failed: out.Err != nil,
 			SimTime: out.SimTime, Events: out.Events, Wall: out.Wall,
 		}
@@ -256,35 +284,29 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 			meta.Phases = out.Report.Phases
 		}
 		r.Runs = append(r.Runs, meta)
-		if opts.Trace {
-			r.Traces = append(r.Traces, trace.RunTrace{
-				Name: s.name + " " + s.mode.String() + " " + out.Size.String(),
-				Rec:  recs[i],
-			})
-		}
 		if out.Err != nil {
 			r.Failed = append(r.Failed, *out.Err)
 			continue
 		}
 		var dst map[string]*core.Report
-		switch s.mode {
+		switch s.Mode {
 		case bench.ModeCopy:
 			dst = r.Copy
 		case bench.ModeLimitedCopy:
 			dst = r.Limited
 		default:
-			if r.Extra[s.mode] == nil {
-				r.Extra[s.mode] = map[string]*core.Report{}
+			if r.Extra[s.Mode] == nil {
+				r.Extra[s.Mode] = map[string]*core.Report{}
 			}
-			dst = r.Extra[s.mode]
+			dst = r.Extra[s.Mode]
 		}
-		dst[s.name] = out.Report
+		dst[name] = out.Report
 		if out.Degraded {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s (%s) ran at size %s after exceeding its budget at %s",
-				s.name, s.mode, out.Size, size))
+				name, s.Mode, out.Size, size))
 		}
 	}
-	return r, r.Failed
+	return r
 }
 
 // Names lists benchmark names with both copy and limited-copy runs

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/device"
+	"repro/internal/harness"
 	"repro/internal/journal"
 )
 
@@ -241,5 +242,47 @@ func TestOpenStateJournalOnDisk(t *testing.T) {
 	want := filepath.Join(dir, "nested", "state", "sweep.journal")
 	if state.Path() != want {
 		t.Fatalf("journal at %s, want %s", state.Path(), want)
+	}
+}
+
+// TestRunSlotsDoneHook: RunSlots hands each executed run's live machine
+// to done — from concurrent workers — and drops it once done returns; a
+// resumed run list replays from DIR/hetsim.journal without calling done
+// again.
+func TestRunSlotsDoneHook(t *testing.T) {
+	var benches []bench.Benchmark
+	var slots []Slot
+	for _, name := range []string{"rodinia/backprop", "rodinia/bfs"} {
+		b, _ := bench.Get(name)
+		benches = append(benches, b)
+		slots = append(slots, Slot{b, bench.ModeCopy})
+	}
+	dir := t.TempDir()
+	live := make([]bool, len(slots))
+	var calls atomic.Int32
+	done := func(i int, out *harness.Outcome) {
+		calls.Add(1)
+		live[i] = out.Sys != nil && out.Sys.Ctr.Get("gpu.ctas") > 0
+	}
+	for _, resume := range []bool{false, true} {
+		opts := SweepOpts{Jobs: 2}
+		state, err := OpenListState(dir, resume, bench.SizeSmall, bench.ModeCopy, benches, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.State = state
+		outs, _ := RunSlots(bench.SizeSmall, slots, opts, done)
+		state.Close()
+		for i, out := range outs {
+			if out == nil || out.Err != nil || out.Sys != nil {
+				t.Fatalf("resume=%v slot %d: outcome %+v, want a completed run without its machine", resume, i, out)
+			}
+		}
+		if state.Resumed() != resume || filepath.Base(state.Path()) != "hetsim.journal" {
+			t.Fatalf("resume=%v: journal %s resumed=%v", resume, state.Path(), state.Resumed())
+		}
+	}
+	if calls.Load() != 2 || !live[0] || !live[1] {
+		t.Fatalf("done calls = %d, live = %v; want one live call per slot, none on replay", calls.Load(), live)
 	}
 }

@@ -7,43 +7,50 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
-	"repro/internal/config"
 	"repro/internal/fsx"
 	"repro/internal/harness"
-	"repro/internal/journal"
 )
 
 // JournalKind stamps experiment-sweep journals, so a state dir written by
 // a different command is rejected on resume.
 const JournalKind = "experiments"
 
-// journalFile is the journal's file name inside a state dir.
-const journalFile = "sweep.journal"
+// listJournalKind stamps the journals of cmd/hetsim's run lists.
+const listJournalKind = "hetsim"
 
-// runSlot is one (benchmark, mode) run of a sweep, in the registry's
-// stable order.
-type runSlot struct {
-	b    bench.Benchmark
-	mode bench.Mode
-	name string
+// Journal file names inside a state dir: the sweep's and the run list's.
+const (
+	journalFile     = "sweep.journal"
+	listJournalFile = "hetsim.journal"
+)
+
+// Slot is one (benchmark, mode) run: the unit RunSlots schedules,
+// journals and reports.
+type Slot struct {
+	Bench bench.Benchmark
+	Mode  bench.Mode
 }
 
+func (s Slot) name() string { return s.Bench.Info().FullName() }
+
 // key is the slot's stable journal key.
-func (s runSlot) key() string { return s.name + "|" + s.mode.String() }
+func (s Slot) key() string { return s.name() + "|" + s.Mode.String() }
+
+// label names the run in progress lines and trace processes.
+func (s Slot) label() string { return s.name() + " " + s.Mode.String() }
 
 // sweepSlots builds the sweep's run slots: every registered benchmark
 // (filtered by only when non-nil) in copy and limited-copy mode plus its
 // extra modes, in the registry's stable order.
-func sweepSlots(only map[string]bool) []runSlot {
-	var slots []runSlot
+func sweepSlots(only map[string]bool) []Slot {
+	var slots []Slot
 	for _, b := range bench.All() {
-		name := b.Info().FullName()
-		if only != nil && !only[name] {
+		if only != nil && !only[b.Info().FullName()] {
 			continue
 		}
-		slots = append(slots, runSlot{b, bench.ModeCopy, name}, runSlot{b, bench.ModeLimitedCopy, name})
+		slots = append(slots, Slot{b, bench.ModeCopy}, Slot{b, bench.ModeLimitedCopy})
 		for _, m := range b.Info().ExtraModes {
-			slots = append(slots, runSlot{b, m, name})
+			slots = append(slots, Slot{b, m})
 		}
 	}
 	return slots
@@ -69,13 +76,7 @@ func onlySet(only []string) map[string]bool {
 // results are identical for every value of Jobs, so a sweep checkpointed
 // with -jobs 8 may resume with -jobs 1.
 func SweepFingerprint(size bench.Size, opts SweepOpts) string {
-	var fp journal.Fingerprint
-	fp.Add("version", strconv.Itoa(journal.Version))
-	// The compiled-in system configurations: a code change to either
-	// simulated machine invalidates old journals.
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-	fp.Add("size", size.String())
+	parts := []string{"size", size.String()}
 	// Each benchmark's full organization list, explicitly. The slot list
 	// below already encodes it implicitly, but hashing the mode set by
 	// name guarantees a journal or cache entry written before a benchmark
@@ -91,17 +92,34 @@ func SweepFingerprint(size bench.Size, opts SweepOpts) string {
 		for _, m := range info.Modes() {
 			line += " " + m.String()
 		}
-		fp.Add("modes", line)
+		parts = append(parts, "modes", line)
 	}
 	for _, s := range sweepSlots(only) {
-		fp.Add("slot", s.key())
+		parts = append(parts, "slot", s.key())
 	}
-	fp.Add("fault", opts.Fault.String())
-	fp.Add("max_events", strconv.FormatUint(opts.Budget.MaxEvents, 10))
-	fp.Add("timeout", opts.Budget.Timeout.String())
-	fp.Add("stall", opts.Stall.String())
-	fp.Add("trace", strconv.FormatBool(opts.Trace))
-	return fp.Sum()
+	return harness.Fingerprint("", parts, opts.Fault, opts.Budget, opts.Stall,
+		"trace", strconv.FormatBool(opts.Trace))
+}
+
+// listFingerprint is SweepFingerprint for a cmd/hetsim run list: benches
+// in the order given, all in one mode.
+func listFingerprint(size bench.Size, mode bench.Mode, benches []bench.Benchmark, opts SweepOpts) string {
+	parts := []string{"size", size.String(), "mode", mode.String()}
+	for _, b := range benches {
+		parts = append(parts, "bench", b.Info().FullName())
+	}
+	return harness.Fingerprint("", parts, opts.Fault, opts.Budget, opts.Stall,
+		"trace", strconv.FormatBool(opts.Trace))
+}
+
+// RunFingerprint hashes everything that determines a single run's
+// result — the key hetsimd files a /v1/run response under. Like the
+// sweep fingerprint it excludes timing-only knobs (intra-run workers,
+// retry spacing).
+func RunFingerprint(spec harness.Spec) string {
+	return harness.Fingerprint("run", []string{
+		"bench", spec.Bench.Info().FullName(), "mode", spec.Mode.String(), "size", spec.Size.String(),
+	}, spec.Fault, spec.Budget, spec.Stall)
 }
 
 // OpenState opens (or creates) the sweep checkpoint journal in state dir
@@ -112,28 +130,43 @@ func SweepFingerprint(size bench.Size, opts SweepOpts) string {
 // existing journal is discarded and a fresh one begins. The directory is
 // created if missing.
 func OpenState(dir string, resume bool, size bench.Size, opts SweepOpts) (*harness.RunLog, error) {
+	return openIn(dir, journalFile, JournalKind, resume, SweepFingerprint(size, opts), sweepSlots(onlySet(opts.Only)))
+}
+
+// OpenListState is OpenState for a cmd/hetsim run list — benches in the
+// order given, all in mode — journaled in DIR/hetsim.journal.
+func OpenListState(dir string, resume bool, size bench.Size, mode bench.Mode, benches []bench.Benchmark, opts SweepOpts) (*harness.RunLog, error) {
+	slots := make([]Slot, len(benches))
+	for i, b := range benches {
+		slots[i] = Slot{b, mode}
+	}
+	return openIn(dir, listJournalFile, listJournalKind, resume, listFingerprint(size, mode, benches, opts), slots)
+}
+
+// OpenStateAtFS is OpenState for callers that manage their own journal
+// placement and identity, over an injectable filesystem: path names the
+// journal file itself and kind stamps the producing command. The hetsimd
+// server keys one journal per request fingerprint inside its state
+// directory, where OpenState's one-fixed-file-per-dir layout would make
+// concurrent requests fight over a single journal, and routes it through
+// its fsx seam so the chaos suite can fail any persistence op underneath
+// a live sweep. The parent directory must exist.
+func OpenStateAtFS(fsys fsx.FS, path, kind string, resume bool, size bench.Size, opts SweepOpts) (*harness.RunLog, error) {
+	return openLog(fsys, path, kind, resume, SweepFingerprint(size, opts), sweepSlots(onlySet(opts.Only)))
+}
+
+// openIn opens the journal named file inside dir on the real disk,
+// creating dir if missing.
+func openIn(dir, file, kind string, resume bool, fingerprint string, slots []Slot) (*harness.RunLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("state dir: %w", err)
 	}
-	return OpenStateAt(filepath.Join(dir, journalFile), JournalKind, resume, size, opts)
+	return openLog(fsx.OS, filepath.Join(dir, file), kind, resume, fingerprint, slots)
 }
 
-// OpenStateAt is OpenState for callers that manage their own journal
-// placement and identity: path names the journal file itself and kind
-// stamps the producing command. The hetsimd server uses this to key one
-// journal per request fingerprint inside its state directory, where
-// OpenState's one-fixed-file-per-dir layout would make concurrent
-// requests fight over a single journal. The parent directory must exist.
-func OpenStateAt(path, kind string, resume bool, size bench.Size, opts SweepOpts) (*harness.RunLog, error) {
-	return OpenStateAtFS(fsx.OS, path, kind, resume, size, opts)
-}
-
-// OpenStateAtFS is OpenStateAt over an injectable filesystem: the daemon
-// routes its checkpoint journals through its fsx seam so the chaos suite
-// can fail any persistence op underneath a live sweep.
-func OpenStateAtFS(fsys fsx.FS, path, kind string, resume bool, size bench.Size, opts SweepOpts) (*harness.RunLog, error) {
-	fingerprint := SweepFingerprint(size, opts)
-	slots := sweepSlots(onlySet(opts.Only))
+// openLog replays the journal at path when resume is set and starts it
+// fresh otherwise.
+func openLog(fsys fsx.FS, path, kind string, resume bool, fingerprint string, slots []Slot) (*harness.RunLog, error) {
 	names := make([]string, len(slots))
 	for i, s := range slots {
 		names[i] = s.key()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/device"
+	"repro/internal/fsx"
 )
 
 // TestRunCanceledBeforeStart: a spec whose context is already canceled
@@ -223,7 +224,7 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 // identically, canceled outcomes are skipped, and a nil log is inert.
 func TestRunLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.journal")
-	log, err := CreateRunLog(path, "test", "fp1", []string{"a|copy", "b|copy"})
+	log, err := CreateRunLogOn(fsx.OS, path, "test", "fp1", []string{"a|copy", "b|copy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestRunLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenRunLog(path, "test", "fp1", nil)
+	re, err := OpenRunLogOn(fsx.OS, path, "test", "fp1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestRunLogRoundTrip(t *testing.T) {
 // start, not an error.
 func TestOpenRunLogMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "none.journal")
-	log, err := OpenRunLog(path, "test", "fp1", nil)
+	log, err := OpenRunLogOn(fsx.OS, path, "test", "fp1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

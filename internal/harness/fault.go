@@ -72,7 +72,10 @@ func (p *FaultPlan) String() string {
 //	dram=CH:FROM:TO  stall DRAM channel CH for [FROM,TO) simulated µs
 //
 // e.g. "pcie=0.25,fault=8,dram=0:100:600". An empty string or "none"
-// returns a nil plan.
+// returns a nil plan. A plan that parses but degrades either simulated
+// machine into one config.Validate rejects (a NaN multiplier, a DRAM
+// channel the machine lacks) is an error too, so callers reject it up
+// front instead of failing every run with it.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
@@ -114,6 +117,12 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 			p.DRAMStallChannel, p.DRAMStallStartUs, p.DRAMStallEndUs = ch, from, to
 		default:
 			return nil, fmt.Errorf("fault term %q: unknown key (want pcie, fault, or dram)", term)
+		}
+	}
+	for _, sys := range []config.System{config.DiscreteGPU(), config.HeteroProcessor()} {
+		p.Apply(&sys)
+		if err := sys.Validate(); err != nil {
+			return nil, fmt.Errorf("fault plan %q yields an invalid %s system: %v", s, sys.Kind, err)
 		}
 	}
 	return p, nil

@@ -474,6 +474,8 @@ func TestFaultPlanParse(t *testing.T) {
 	for _, s := range []string{
 		"pcie=2", "pcie=0", "pcie=x", "fault=0.5", "dram=0:600:100",
 		"dram=0:100", "bogus=1", "pcie", "dram=-1:0:100",
+		// Each term parses, but the degraded machine fails config.Validate.
+		"fault=NaN", "pcie=NaN", "dram=99:0:5", "dram=0:0:NaN", "fault=Inf",
 	} {
 		if _, err := ParseFaultPlan(s); err == nil {
 			t.Fatalf("ParseFaultPlan(%q) should fail", s)

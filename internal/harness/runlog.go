@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
+	"time"
 
+	"repro/internal/config"
 	"repro/internal/fsx"
 	"repro/internal/journal"
 )
@@ -30,14 +33,9 @@ type RunLog struct {
 	err      error // first append failure, sticky
 }
 
-// CreateRunLog starts a fresh journal at path (truncating any existing
-// file), stamped with the producing command's kind and the sweep's config
-// fingerprint.
-func CreateRunLog(path, kind, fingerprint string, slots []string) (*RunLog, error) {
-	return CreateRunLogOn(fsx.OS, path, kind, fingerprint, slots)
-}
-
-// CreateRunLogOn is CreateRunLog over an injectable filesystem.
+// CreateRunLogOn starts a fresh journal at path on fsys (truncating any
+// existing file), stamped with the producing command's kind and the
+// sweep's config fingerprint.
 func CreateRunLogOn(fsys fsx.FS, path, kind, fingerprint string, slots []string) (*RunLog, error) {
 	j, err := journal.CreateOn(fsys, path, kind, fingerprint, slots)
 	if err != nil {
@@ -46,16 +44,12 @@ func CreateRunLogOn(fsys fsx.FS, path, kind, fingerprint string, slots []string)
 	return &RunLog{j: j}, nil
 }
 
-// OpenRunLog resumes from an existing journal at path, validating its
-// kind and fingerprint and replaying its outcomes. A missing file is not
-// an error: resuming a sweep that never checkpointed is just a fresh
-// start, so the log is created instead. A journal for a different
-// configuration (fingerprint mismatch) or a corrupt one fails loudly.
-func OpenRunLog(path, kind, fingerprint string, slots []string) (*RunLog, error) {
-	return OpenRunLogOn(fsx.OS, path, kind, fingerprint, slots)
-}
-
-// OpenRunLogOn is OpenRunLog over an injectable filesystem.
+// OpenRunLogOn resumes from an existing journal at path on fsys,
+// validating its kind and fingerprint and replaying its outcomes. A
+// missing file is not an error: resuming a sweep that never checkpointed
+// is just a fresh start, so the log is created instead. A journal for a
+// different configuration (fingerprint mismatch) or a corrupt one fails
+// loudly.
 func OpenRunLogOn(fsys fsx.FS, path, kind, fingerprint string, slots []string) (*RunLog, error) {
 	if _, err := fsys.Stat(path); err != nil && os.IsNotExist(err) {
 		return CreateRunLogOn(fsys, path, kind, fingerprint, slots)
@@ -164,4 +158,35 @@ func (l *RunLog) Close() error {
 		return nil
 	}
 	return l.j.Close()
+}
+
+// Fingerprint hashes everything that determines a set of runs' results,
+// so a journal or cached result is only reused under the identical
+// configuration. Every run fingerprint shares one layout: the journal
+// format version; kind, when non-empty; both compiled-in simulated
+// machines, so a code change to either invalidates old entries; the
+// caller's label/value pairs in parts; the fault plan, the budgets and
+// the stall window; then the label/value pairs in tail. Scheduling knobs
+// (worker counts, retry spacing, request IDs) never belong here: results
+// are identical for every value.
+func Fingerprint(kind string, parts []string, fault *FaultPlan, budget Budget, stall time.Duration, tail ...string) string {
+	var fp journal.Fingerprint
+	add := func(pairs []string) {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			fp.Add(pairs[i], pairs[i+1])
+		}
+	}
+	fp.Add("version", strconv.Itoa(journal.Version))
+	if kind != "" {
+		fp.Add("kind", kind)
+	}
+	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
+	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
+	add(parts)
+	fp.Add("fault", fault.String())
+	fp.Add("max_events", strconv.FormatUint(budget.MaxEvents, 10))
+	fp.Add("timeout", budget.Timeout.String())
+	fp.Add("stall", stall.String())
+	add(tail)
+	return fp.Sum()
 }

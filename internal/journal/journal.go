@@ -21,7 +21,7 @@
 // mid-write can tear at most the final line (appends are sequential and
 // synced), so a bad LAST line is recovered by truncating it away. A bad
 // line anywhere earlier means the file was edited or the disk lied —
-// that is corruption, and Open refuses it rather than silently dropping
+// that is corruption, and OpenOn refuses it rather than silently dropping
 // completed work.
 //
 // The fingerprint is the journal's staleness guard: it hashes everything
@@ -49,7 +49,7 @@ import (
 )
 
 // Version is the journal format version. A version bump invalidates old
-// journals (they fail Open), which is the safe failure mode for a format
+// journals (they fail OpenOn), which is the safe failure mode for a format
 // change: re-running a sweep is cheap next to silently misreading it.
 const Version = 1
 
@@ -58,7 +58,7 @@ const Version = 1
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrFingerprint reports a journal written by a different sweep
-// configuration. Wrapped by the error Open returns, so callers can
+// configuration. Wrapped by the error OpenOn returns, so callers can
 // errors.Is it and tell the operator to pass a fresh state dir.
 var ErrFingerprint = errors.New("journal: config fingerprint mismatch")
 
@@ -127,15 +127,12 @@ func parseLine(ln string) ([]byte, error) {
 	return []byte(body), nil
 }
 
-// SyncDir fsyncs the directory at dir. A freshly created or renamed file
-// is only durable once its directory entry is too: fsyncing the file
-// flushes its contents, but the entry naming it lives in the directory,
-// and a crash before the directory reaches stable storage can lose the
-// file wholesale. Callers creating, renaming, or removing durable files
-// follow up with SyncDir on the parent.
-func SyncDir(dir string) error { return SyncDirOn(fsx.OS, dir) }
-
-// SyncDirOn is SyncDir over an injectable filesystem.
+// SyncDirOn fsyncs the directory at dir. A freshly created or renamed
+// file is only durable once its directory entry is too: fsyncing the
+// file flushes its contents, but the entry naming it lives in the
+// directory, and a crash before the directory reaches stable storage can
+// lose the file wholesale. Callers creating, renaming, or removing
+// durable files follow up with SyncDirOn on the parent.
 func SyncDirOn(fsys fsx.FS, dir string) error {
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("sync dir %s: %w", dir, err)
@@ -158,16 +155,11 @@ func writeHeader(f fsx.File, kind, fingerprint string, slots []string) error {
 	return nil
 }
 
-// Create starts a fresh journal at path, writing and syncing the header
-// — and the parent directory entry — before returning. An existing file
-// is truncated: the caller decides create-vs-resume, the journal just
-// obeys.
-func Create(path, kind, fingerprint string, slots []string) (*Journal, error) {
-	return CreateOn(fsx.OS, path, kind, fingerprint, slots)
-}
-
-// CreateOn is Create over an injectable filesystem, so tests (and the
-// daemon's chaos suite) can script the disk failing underneath it.
+// CreateOn starts a fresh journal at path on fsys, writing and syncing
+// the header — and the parent directory entry — before returning. An
+// existing file is truncated: the caller decides create-vs-resume, the
+// journal just obeys. Callers pass fsx.OS for the real disk; tests (and
+// the daemon's chaos suite) script the disk failing underneath it.
 func CreateOn(fsys fsx.FS, path, kind, fingerprint string, slots []string) (*Journal, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -187,24 +179,19 @@ func CreateOn(fsys fsx.FS, path, kind, fingerprint string, slots []string) (*Jou
 	return &Journal{f: f, path: path}, nil
 }
 
-// Open replays an existing journal at path, validating every line,
-// recovering a torn final line by truncation, and rejecting a journal
-// whose kind or fingerprint does not match the caller's. It returns the
-// journal positioned for appending plus the replayed records in append
-// order (later records for the same slot supersede earlier ones; the
-// caller applies that policy).
-func Open(path, kind, fingerprint string) (*Journal, []Record, error) {
-	return OpenOn(fsx.OS, path, kind, fingerprint)
-}
-
-// OpenOn is Open over an injectable filesystem.
+// OpenOn replays an existing journal at path on fsys, validating every
+// line, recovering a torn final line by truncation, and rejecting a
+// journal whose kind or fingerprint does not match the caller's. It
+// returns the journal positioned for appending plus the replayed records
+// in append order (later records for the same slot supersede earlier
+// ones; the caller applies that policy).
 func OpenOn(fsys fsx.FS, path, kind, fingerprint string) (*Journal, []Record, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open: %w", err)
 	}
 	if st, serr := f.Stat(); serr == nil && st.Size() == 0 {
-		// A zero-byte journal is the crash window between Create's
+		// A zero-byte journal is the crash window between CreateOn's
 		// OpenFile and its header write (or an interrupted truncate) —
 		// nothing was ever recorded, so there is nothing to lose: treat
 		// it as a brand-new journal rather than hard corruption, so a

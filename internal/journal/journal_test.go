@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fsx"
 )
 
 const (
@@ -17,7 +19,7 @@ const (
 func newJournal(t *testing.T) (*Journal, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := Create(path, testKind, testFP, []string{"a", "b", "c"})
+	j, err := CreateOn(fsx.OS, path, testKind, testFP, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := Open(path, testKind, testFP)
+	j2, recs, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestAppendAfterReopen(t *testing.T) {
 	appendN(t, j, 2)
 	j.Close()
 
-	j2, recs, err := Open(path, testKind, testFP)
+	j2, recs, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestAppendAfterReopen(t *testing.T) {
 	}
 	j2.Close()
 
-	_, recs, err = Open(path, testKind, testFP)
+	_, recs, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestTornTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := Open(path, testKind, testFP)
+	j2, recs, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatalf("torn tail should recover, got %v", err)
 	}
@@ -120,7 +122,7 @@ func TestTornTailRecovered(t *testing.T) {
 	}
 	j2.Close()
 
-	_, recs, err = Open(path, testKind, testFP)
+	_, recs, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestCorruptMiddleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(path, testKind, testFP)
+	_, _, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt middle line: got %v, want ErrCorrupt", err)
 	}
@@ -158,7 +160,7 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	appendN(t, j, 1)
 	j.Close()
 
-	_, _, err := Open(path, testKind, "differentfingerprint")
+	_, _, err := OpenOn(fsx.OS, path, testKind, "differentfingerprint")
 	if !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("fingerprint mismatch: got %v, want ErrFingerprint", err)
 	}
@@ -168,7 +170,7 @@ func TestKindMismatchRejected(t *testing.T) {
 	j, path := newJournal(t)
 	j.Close()
 
-	_, _, err := Open(path, "hetsim", testFP)
+	_, _, err := OpenOn(fsx.OS, path, "hetsim", testFP)
 	if err == nil || !strings.Contains(err.Error(), "wrong state dir") {
 		t.Fatalf("kind mismatch: got %v", err)
 	}
@@ -188,7 +190,7 @@ func TestTornHeaderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(path, testKind, testFP)
+	_, _, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn header: got %v, want ErrCorrupt", err)
 	}
@@ -212,7 +214,7 @@ func TestEditedRecordRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(path, testKind, testFP)
+	_, _, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "sequence gap") {
 		t.Fatalf("seq gap: got %v, want ErrCorrupt sequence gap", err)
 	}
@@ -224,7 +226,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(path, line(hdr), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(path, testKind, testFP)
+	_, _, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch: got %v", err)
 	}
@@ -263,7 +265,7 @@ func TestZeroByteJournalTreatedAsNew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, recs, err := Open(path, testKind, testFP)
+	j, recs, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatalf("zero-byte journal should open as new, got %v", err)
 	}
@@ -278,7 +280,7 @@ func TestZeroByteJournalTreatedAsNew(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = Open(path, testKind, testFP)
+	_, recs, err = OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatalf("reopen after zero-byte recovery: %v", err)
 	}
@@ -287,18 +289,18 @@ func TestZeroByteJournalTreatedAsNew(t *testing.T) {
 	}
 	// The recovered journal carries this caller's kind and fingerprint;
 	// a different configuration must still be rejected.
-	if _, _, err := Open(path, testKind, "otherfingerprint"); !errors.Is(err, ErrFingerprint) {
+	if _, _, err := OpenOn(fsx.OS, path, testKind, "otherfingerprint"); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("recovered journal fingerprint check: got %v, want ErrFingerprint", err)
 	}
 }
 
-// TestSyncDir pins the directory-fsync helper Create (and the hetsimd
+// TestSyncDir pins the directory-fsync helper CreateOn (and the hetsimd
 // result cache) rely on for durability of file creation and rename.
 func TestSyncDir(t *testing.T) {
-	if err := SyncDir(t.TempDir()); err != nil {
+	if err := SyncDirOn(fsx.OS, t.TempDir()); err != nil {
 		t.Fatalf("SyncDir on a real directory: %v", err)
 	}
-	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if err := SyncDirOn(fsx.OS, filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("SyncDir on a missing directory should fail")
 	}
 }
@@ -311,7 +313,7 @@ func TestCreateSyncsParentDir(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	j, err := Create(filepath.Join(dir, "sweep.journal"), testKind, testFP, nil)
+	j, err := CreateOn(fsx.OS, filepath.Join(dir, "sweep.journal"), testKind, testFP, nil)
 	if err != nil {
 		t.Fatalf("Create in nested dir: %v", err)
 	}
@@ -327,13 +329,13 @@ func TestCreateTruncatesExisting(t *testing.T) {
 	appendN(t, j, 3)
 	j.Close()
 
-	j2, err := Create(path, testKind, testFP, nil)
+	j2, err := CreateOn(fsx.OS, path, testKind, testFP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
 
-	_, recs, err := Open(path, testKind, testFP)
+	_, recs, err := OpenOn(fsx.OS, path, testKind, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}

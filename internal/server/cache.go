@@ -70,13 +70,9 @@ const cacheMagic = "hetsimd-cache 1"
 // indexFile is the recency sidecar's name inside the cache dir.
 const indexFile = "index.lru"
 
-// NewCache opens (creating if needed) a cache rooted at dir. logf
-// receives quarantine and write-failure diagnostics (nil discards them).
-func NewCache(dir string, logf func(format string, args ...any)) (*Cache, error) {
-	return NewCacheFS(fsx.OS, dir, logf)
-}
-
-// NewCacheFS is NewCache over an injectable filesystem.
+// NewCacheFS opens (creating if needed) a cache rooted at dir on fsys.
+// logf receives quarantine and write-failure diagnostics (nil discards
+// them).
 func NewCacheFS(fsys fsx.FS, dir string, logf func(format string, args ...any)) (*Cache, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache dir: %w", err)

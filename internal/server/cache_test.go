@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fsx"
 )
 
 func testCache(t *testing.T) (*Cache, string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := NewCache(dir, t.Logf)
+	c, err := NewCacheFS(fsx.OS, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

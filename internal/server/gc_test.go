@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsx"
 	"repro/internal/metrics"
 )
 
@@ -34,7 +35,7 @@ func corruptFile(t *testing.T, path string) {
 // must preserve both specimens — the second quarantine picks .corrupt.1
 // instead of clobbering .corrupt.
 func TestQuarantineUniqueSuffixCache(t *testing.T) {
-	c, err := NewCache(t.TempDir(), t.Logf)
+	c, err := NewCacheFS(fsx.OS, t.TempDir(), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestQuarantineUniqueSuffixCache(t *testing.T) {
 // sidecar — no filesystem atimes involved.
 func TestQuotaLRUOrderAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(dir, t.Logf)
+	c, err := NewCacheFS(fsx.OS, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestQuotaLRUOrderAcrossRestart(t *testing.T) {
 	c.SaveIndex()
 
 	// Restart: a fresh Cache over the same dir must reconstruct the order.
-	c2, err := NewCache(dir, t.Logf)
+	c2, err := NewCacheFS(fsx.OS, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/journal"
 )
 
 // SweepRequest is the JSON body of POST /v1/sweep: which benchmarks to
@@ -106,15 +103,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
-// parseSize maps the wire size name to the bench preset.
+// parseSize maps the wire size name to the bench preset ("" = small).
 func parseSize(s string) (bench.Size, error) {
-	switch s {
-	case "", "small":
+	if s == "" {
 		return bench.SizeSmall, nil
-	case "medium":
-		return bench.SizeMedium, nil
 	}
-	return 0, badRequest("unknown size %q (want small or medium)", s)
+	z, err := bench.ParseSize(s)
+	if err != nil {
+		return 0, badRequest("%v", err)
+	}
+	return z, nil
 }
 
 // parseMode maps the wire mode name to the bench mode ("" = copy).
@@ -129,21 +127,14 @@ func parseMode(s string) (bench.Mode, error) {
 	return m, nil
 }
 
-// validateFault parses an untrusted fault-plan string and proves the
-// resulting degraded configurations are still self-consistent by running
-// them through config.Validate — the request is rejected up front rather
-// than poisoning a simulation (or a cache entry) with NaN-flavored
-// hardware.
-func validateFault(plan string) (*harness.FaultPlan, error) {
+// parseFault parses an untrusted fault-plan string. ParseFaultPlan
+// rejects a plan whose degraded machines fail config.Validate, so a
+// request never poisons a simulation (or a cache entry) with
+// NaN-flavored hardware.
+func parseFault(plan string) (*harness.FaultPlan, error) {
 	fault, err := harness.ParseFaultPlan(plan)
 	if err != nil {
 		return nil, badRequest("fault: %v", err)
-	}
-	for _, sys := range []config.System{config.DiscreteGPU(), config.HeteroProcessor()} {
-		fault.Apply(&sys)
-		if err := sys.Validate(); err != nil {
-			return nil, badRequest("fault plan %q yields an invalid %s system: %v", plan, sys.Kind, err)
-		}
 	}
 	return fault, nil
 }
@@ -179,7 +170,7 @@ func resolveSweep(req *SweepRequest, maxJobs int) (*sweepParams, error) {
 			return nil, badRequest("unknown benchmark %q", name)
 		}
 	}
-	fault, err := validateFault(req.Fault)
+	fault, err := parseFault(req.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +258,7 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 	if err != nil {
 		return nil, err
 	}
-	fault, err := validateFault(req.Fault)
+	fault, err := parseFault(req.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -305,25 +296,6 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 		},
 		deadline: deadline,
 	}
-	p.fingerprint = runFingerprint(req.Benchmark, mode, size, fault, p.spec.Budget, stall)
+	p.fingerprint = experiments.RunFingerprint(p.spec)
 	return p, nil
-}
-
-// runFingerprint hashes everything that determines a single run's result,
-// mirroring the sweep fingerprint's exclusion of timing-only knobs.
-func runFingerprint(benchName string, mode bench.Mode, size bench.Size,
-	fault *harness.FaultPlan, budget harness.Budget, stall time.Duration) string {
-	var fp journal.Fingerprint
-	fp.Add("version", strconv.Itoa(journal.Version))
-	fp.Add("kind", "run")
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-	fp.Add("bench", benchName)
-	fp.Add("mode", mode.String())
-	fp.Add("size", size.String())
-	fp.Add("fault", fault.String())
-	fp.Add("max_events", strconv.FormatUint(budget.MaxEvents, 10))
-	fp.Add("timeout", budget.Timeout.String())
-	fp.Add("stall", stall.String())
-	return fp.Sum()
 }

@@ -13,9 +13,9 @@ import (
 // Counter storage is slot-based: each name is interned once into a heap
 // slot, and hot-path increments go through a Counter handle (a plain
 // pointer) obtained from Handle at model-construction time — no string
-// concatenation, no map hash, no allocation per increment. The name-keyed
-// Add/Inc/Get/Snapshot/TakeDelta/Merge API is a thin layer over the same
-// slots, so reporting code is unchanged.
+// concatenation, no map hash, no allocation per increment. The only
+// name-keyed API is the snapshot side (Get/Names/Snapshot/TakeDelta/Merge),
+// a thin layer over the same slots.
 type Counters struct {
 	m map[string]*uint64
 }
@@ -66,12 +66,6 @@ func (c *Counters) ComponentHandles(prefix string) [NumComponents]Counter {
 	}
 	return out
 }
-
-// Add increments name by n.
-func (c *Counters) Add(name string, n uint64) { c.Handle(name).Add(n) }
-
-// Inc increments name by 1.
-func (c *Counters) Inc(name string) { c.Handle(name).Inc() }
 
 // Get reads a counter (zero if never written).
 func (c *Counters) Get(name string) uint64 {
