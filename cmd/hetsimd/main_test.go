@@ -5,9 +5,9 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -111,12 +111,19 @@ func postSweep(t *testing.T, base string) (*http.Response, []byte) {
 	return resp, body
 }
 
+// runEntries counts the entries in a state dir's store. Until the sweep
+// completes, every one is a run the sweep checkpointed.
+func runEntries(stateDir string) int {
+	paths, _ := filepath.Glob(filepath.Join(stateDir, "cache", "*.entry"))
+	return len(paths)
+}
+
 // TestDrainResumeAndCache is the daemon's end-to-end acceptance test:
 // SIGTERM mid-sweep must drain cleanly (exit 0) after checkpointing and
 // answering the in-flight request with the draining error; a restarted
-// daemon on the same state dir must resume the journal and produce a
-// response byte-identical to an uninterrupted daemon's; and a repeat of
-// that request must be a pure cache hit with the same bytes.
+// daemon on the same state dir must resume from the stored runs and
+// produce a response byte-identical to an uninterrupted daemon's; and a
+// repeat of that request must be a pure cache hit with the same bytes.
 func TestDrainResumeAndCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -134,8 +141,7 @@ func TestDrainResumeAndCache(t *testing.T) {
 		t.Fatalf("idle daemon drain exit = %d, want 0; stderr:\n%s", code, ref.stderr)
 	}
 
-	// Interrupted daemon: SIGTERM once the journal holds two completed
-	// runs (header + 2 records = 3 lines).
+	// Interrupted daemon: SIGTERM once the store holds two completed runs.
 	stateB := filepath.Join(dir, "stateB")
 	d := startDaemon(t, bin, stateB)
 	type result struct {
@@ -147,17 +153,11 @@ func TestDrainResumeAndCache(t *testing.T) {
 		resp, body := postSweep(t, d.base)
 		inflight <- result{resp, body}
 	}()
-	journalGlob := filepath.Join(stateB, "journals", "*.journal")
 	deadline := time.Now().Add(2 * time.Minute)
-	for {
+	for runEntries(stateB) < 2 {
 		if time.Now().After(deadline) {
 			d.cmd.Process.Kill()
-			t.Fatalf("journal never reached 2 records; stderr:\n%s", d.stderr)
-		}
-		if paths, _ := filepath.Glob(journalGlob); len(paths) == 1 {
-			if data, err := os.ReadFile(paths[0]); err == nil && bytes.Count(data, []byte("\n")) >= 3 {
-				break
-			}
+			t.Fatalf("store never reached 2 run entries; stderr:\n%s", d.stderr)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -174,11 +174,12 @@ func TestDrainResumeAndCache(t *testing.T) {
 	if code := d.wait(t); code != 0 {
 		t.Fatalf("drain exit = %d, want 0; stderr:\n%s", code, d.stderr)
 	}
-	if paths, _ := filepath.Glob(journalGlob); len(paths) != 1 {
-		t.Fatalf("checkpoint journal did not survive the drain: %v", paths)
+	if n := runEntries(stateB); n < 2 {
+		t.Fatalf("%d run entries survived the drain, want the 2 or more checkpointed", n)
 	}
 
-	// Restarted daemon: resume the journal, finish, match the reference.
+	// Restarted daemon: resume from the stored runs, finish, match the
+	// reference.
 	d2 := startDaemon(t, bin, stateB)
 	resp2, body2 := postSweep(t, d2.base)
 	if resp2.StatusCode != http.StatusOK {
@@ -194,7 +195,7 @@ func TestDrainResumeAndCache(t *testing.T) {
 		t.Fatal("resumed response differs from the uninterrupted daemon's")
 	}
 
-	// Repeat: a pure cache hit, byte-identical, journal gone.
+	// Repeat: a pure cache hit, byte-identical; the resume counted once.
 	resp3, body3 := postSweep(t, d2.base)
 	if got := resp3.Header.Get("X-Hetsimd-Cache"); got != "hit" {
 		t.Fatalf("repeat sweep X-Hetsimd-Cache = %q, want hit", got)
@@ -202,8 +203,17 @@ func TestDrainResumeAndCache(t *testing.T) {
 	if !bytes.Equal(body3, refBody) {
 		t.Fatal("cached response differs from the uninterrupted daemon's")
 	}
-	if paths, _ := filepath.Glob(journalGlob); len(paths) != 0 {
-		t.Fatalf("journal not retired after completion: %v", paths)
+	scrape, err := http.Get(d2.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(scrape.Body)
+	scrape.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^hetsimd_sweeps_resumed_total 1$`).Match(prom) {
+		t.Fatal("metrics do not show exactly one resumed sweep")
 	}
 	if code := d2.stop(t); code != 0 {
 		t.Fatalf("final drain exit = %d, want 0; stderr:\n%s", code, d2.stderr)

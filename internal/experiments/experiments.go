@@ -77,7 +77,8 @@ type RunMeta struct {
 	Events    uint64
 	// Wall is the run's total wall-clock cost across attempts. For a run
 	// replayed from a checkpoint journal this is the recorded cost of the
-	// original execution, not the (near-zero) replay time.
+	// original execution, not the (near-zero) replay time; hetsimd's
+	// store records none, so its replayed runs carry zero.
 	Wall time.Duration
 	// Phases carries the stage-boundary counter snapshots of the final
 	// attempt (nil when the run produced no report).
@@ -130,10 +131,11 @@ type SweepOpts struct {
 	// wire this to the second interrupt signal. Independent of Ctx — a
 	// graceful shutdown cancels only Ctx.
 	RunCtx context.Context
-	// State, when non-nil, is the crash-safe checkpoint journal: every
-	// completed run is appended durably, and runs the journal already
-	// holds are replayed instead of executed (see OpenState).
-	State *harness.RunLog
+	// State, when non-nil, is where runs are checkpointed: every
+	// completed run is appended, and runs it already holds are replayed
+	// instead of executed. The commands pass a journal (see OpenState);
+	// hetsimd passes a view of its run-keyed store (see RunKeys).
+	State RunStore
 	// Stall arms each run's stall watchdog: a run whose simulated time
 	// stops advancing for this long while events churn is killed as
 	// KindStalled instead of spinning forever. Zero disables it.
@@ -144,6 +146,15 @@ type SweepOpts struct {
 	// lifecycle trace instants. Never part of the fingerprint: it does
 	// not affect results.
 	RequestID string
+}
+
+// RunStore checkpoints a sweep's runs by slot key. Replayed returns the
+// stored outcome for a slot, or nil if it has none; Append records one
+// finished run and is called concurrently from the pool's workers.
+// *harness.RunLog, the commands' journal, is one.
+type RunStore interface {
+	Replayed(key string) *harness.Outcome
+	Append(key string, out *harness.Outcome) error
 }
 
 // RunSweep executes a fault-tolerant sweep: every selected benchmark in
@@ -163,7 +174,7 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 
 // RunSlots is the checkpointed run loop under every sweep and run list.
 // It replays the slots opts.State already holds, runs the rest on
-// opts.Jobs workers under harness.Run, journals each finished run, and
+// opts.Jobs workers under harness.Run, checkpoints each finished run, and
 // reports progress. Every run builds its own simulated machine and writes
 // only its own slot, so the result is identical for every worker count.
 //
@@ -186,20 +197,22 @@ func RunSlots(size bench.Size, slots []Slot, opts SweepOpts, done func(i int, ou
 	opts.Progress.SetTotal(len(slots))
 
 	// Replay checkpointed runs before dispatch: a replayed slot is filled
-	// from the journal and its task below degenerates to a no-op, so a
+	// from opts.State and its task below degenerates to a no-op, so a
 	// resumed sweep executes only the missing runs yet assembles the full
 	// result set — byte-identical to an uninterrupted sweep.
-	for i, s := range slots {
-		if out := opts.State.Replayed(s.key()); out != nil {
-			outs[i] = out
-			opts.Progress.Replay(s.label())
+	if opts.State != nil {
+		for i, s := range slots {
+			if out := opts.State.Replayed(s.key()); out != nil {
+				outs[i] = out
+				opts.Progress.Replay(s.label())
+			}
 		}
 	}
 
 	var progressMu sync.Mutex
 	sweep.Each(opts.Ctx, opts.Jobs, len(slots), func(i int) {
 		if outs[i] != nil {
-			return // replayed from the journal
+			return // replayed from opts.State
 		}
 		s := slots[i]
 		runName := s.label()
@@ -209,11 +222,8 @@ func RunSlots(size bench.Size, slots []Slot, opts SweepOpts, done func(i int, ou
 			progressMu.Unlock()
 		}
 		opts.Progress.Start(runName)
-		spec := harness.Spec{
-			Bench: s.Bench, Mode: s.Mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
-			Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
-			Parallel: opts.Parallel,
-		}
+		spec := s.spec(size, opts)
+		spec.Ctx, spec.RequestID, spec.Parallel = opts.RunCtx, opts.RequestID, opts.Parallel
 		if opts.Trace {
 			spec.Trace = recs[i]
 		}
@@ -226,7 +236,9 @@ func RunSlots(size bench.Size, slots []Slot, opts SweepOpts, done func(i int, ou
 			opts.PerRun(&spec)
 		}
 		out := harness.Run(spec)
-		opts.State.Append(s.key(), out)
+		if opts.State != nil {
+			opts.State.Append(s.key(), out)
+		}
 		if done != nil {
 			done(i, out)
 		}

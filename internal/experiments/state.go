@@ -36,6 +36,12 @@ func (s Slot) name() string { return s.Bench.Info().FullName() }
 // key is the slot's stable journal key.
 func (s Slot) key() string { return s.name() + "|" + s.Mode.String() }
 
+// spec is the slot's run under opts: everything RunFingerprint hashes,
+// without the scheduling and correlation knobs RunSlots adds.
+func (s Slot) spec(size bench.Size, opts SweepOpts) harness.Spec {
+	return harness.Spec{Bench: s.Bench, Mode: s.Mode, Size: size, Budget: opts.Budget, Fault: opts.Fault, Stall: opts.Stall}
+}
+
 // label names the run in progress lines and trace processes.
 func (s Slot) label() string { return s.name() + " " + s.Mode.String() }
 
@@ -113,13 +119,26 @@ func listFingerprint(size bench.Size, mode bench.Mode, benches []bench.Benchmark
 }
 
 // RunFingerprint hashes everything that determines a single run's
-// result — the key hetsimd files a /v1/run response under. Like the
-// sweep fingerprint it excludes timing-only knobs (intra-run workers,
-// retry spacing).
+// result — the key hetsimd stores the run under, whether a /v1/run or a
+// sweep executed it. Like the sweep fingerprint it excludes timing-only
+// knobs (intra-run workers, retry spacing).
 func RunFingerprint(spec harness.Spec) string {
 	return harness.Fingerprint("run", []string{
 		"bench", spec.Bench.Info().FullName(), "mode", spec.Mode.String(), "size", spec.Size.String(),
 	}, spec.Fault, spec.Budget, spec.Stall)
+}
+
+// RunKeys maps each of the sweep's slot keys to the RunFingerprint of the
+// run that slot executes, so a run-keyed store can serve a sweep's
+// RunStore calls and share runs across sweeps and single runs. Tracing is
+// not in the run fingerprint: a traced sweep must not share a store with
+// untraced ones.
+func RunKeys(size bench.Size, opts SweepOpts) map[string]string {
+	keys := map[string]string{}
+	for _, s := range sweepSlots(onlySet(opts.Only)) {
+		keys[s.key()] = RunFingerprint(s.spec(size, opts))
+	}
+	return keys
 }
 
 // OpenState opens (or creates) the sweep checkpoint journal in state dir
@@ -145,12 +164,9 @@ func OpenListState(dir string, resume bool, size bench.Size, mode bench.Mode, be
 
 // OpenStateAtFS is OpenState for callers that manage their own journal
 // placement and identity, over an injectable filesystem: path names the
-// journal file itself and kind stamps the producing command. The hetsimd
-// server keys one journal per request fingerprint inside its state
-// directory, where OpenState's one-fixed-file-per-dir layout would make
-// concurrent requests fight over a single journal, and routes it through
-// its fsx seam so the chaos suite can fail any persistence op underneath
-// a live sweep. The parent directory must exist.
+// journal file itself and kind stamps the producing command. The repo
+// benchmark (perfbench) calls it to journal its sweeps through a timing
+// filesystem. The parent directory must exist.
 func OpenStateAtFS(fsys fsx.FS, path, kind string, resume bool, size bench.Size, opts SweepOpts) (*harness.RunLog, error) {
 	return openLog(fsys, path, kind, resume, SweepFingerprint(size, opts), sweepSlots(onlySet(opts.Only)))
 }

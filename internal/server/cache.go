@@ -16,16 +16,16 @@ import (
 	"repro/internal/journal"
 )
 
-// Cache is the daemon's content-addressed result store: completed
-// responses keyed by request fingerprint, so a repeated request is a disk
-// read instead of a re-simulation. Entries are written atomically (temp
+// Cache is the daemon's content-addressed store, and its only one. It
+// holds two kinds of entry: a run entry per completed run, keyed by its
+// run fingerprint (see runs.go), and a rendered sweep document per
+// completed sweep, keyed by its sweep fingerprint. Entries are written atomically (temp
 // file, fsync, rename, directory fsync) and verified on every read by a
 // CRC32-Castagnoli checksum over the body. A corrupt entry — bit rot, a
 // torn write that survived, an operator's stray edit — is quarantined:
 // renamed aside with a unique ".corrupt" suffix and logged, and the
-// caller recomputes. The cache never refuses service over a bad entry; it
-// is an accelerator, and the journal underneath it remains the durable
-// store of record for in-progress work.
+// caller recomputes. The store never refuses service over a bad entry: a
+// lost run or document costs a recompute, never a wrong answer.
 //
 // The entry format is a one-line header followed by the raw body bytes:
 //
@@ -186,27 +186,13 @@ func (c *Cache) TmpInFlight(base string) bool {
 // entry file.
 func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".entry") }
 
-// touch bumps key's recency clock (and creates its row after a Put).
-func (c *Cache) touch(key string, size int64, haveSize bool) {
+// touch records key's size and bumps its recency clock (creating its
+// row after a Put).
+func (c *Cache) touch(key string, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m, ok := c.entries[key]
-	if !ok {
-		m = &entryMeta{}
-		c.entries[key] = m
-	}
-	if haveSize {
-		m.size = size
-	}
 	c.seq++
-	m.last = c.seq
-}
-
-// forget drops key's index row (after a quarantine or eviction).
-func (c *Cache) forget(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, key)
+	c.entries[key] = &entryMeta{size: size, last: c.seq}
 }
 
 // Get returns the verified body for key, or (nil, false) on a miss. A
@@ -228,18 +214,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.quarantine(key, path, err)
 		return nil, false
 	}
-	c.touch(key, int64(len(data)), true)
+	c.touch(key, int64(len(data)))
 	return body, true
-}
-
-// Has reports whether key has a stored (non-quarantined) entry, without
-// reading or verifying it — the GC's cheap "is this journal subsumed?"
-// check.
-func (c *Cache) Has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // parseEntry validates one entry file and returns its body.
@@ -270,26 +246,11 @@ func parseEntry(data []byte) ([]byte, error) {
 	return body, nil
 }
 
-// uniqueQuarantinePath picks the first unused <path>.corrupt[.N] name, so
-// quarantining a second damaged artifact under the same name preserves
-// the first instead of silently clobbering the evidence. Shared by the
-// cache and the server's journal quarantine path.
-func uniqueQuarantinePath(fsys fsx.FS, path string) string {
-	base := path + ".corrupt"
-	q := base
-	for i := 1; i < 10000; i++ {
-		if _, err := fsys.Stat(q); err != nil {
-			return q
-		}
-		q = fmt.Sprintf("%s.%d", base, i)
-	}
-	return q
-}
-
 // quarantine renames a damaged entry aside and logs it. Renaming (rather
 // than deleting) preserves the evidence for post-mortem; renaming (rather
 // than refusing) lets the caller recompute and move on. The destination
-// name is unique, so repeated corruption of one key keeps every specimen.
+// is the first unused <path>.corrupt[.N] name, so repeated corruption of
+// one key keeps every specimen instead of clobbering the evidence.
 func (c *Cache) quarantine(key, path string, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -297,7 +258,13 @@ func (c *Cache) quarantine(key, path string, cause error) {
 		c.onQuarantine()
 	}
 	delete(c.entries, key)
-	q := uniqueQuarantinePath(c.fs, path)
+	q := path + ".corrupt"
+	for i := 1; i < 10000; i++ {
+		if _, err := c.fs.Stat(q); err != nil {
+			break
+		}
+		q = fmt.Sprintf("%s.corrupt.%d", path, i)
+	}
 	if err := c.fs.Rename(path, q); err != nil {
 		c.logf("cache: quarantine %s: %v (entry was corrupt: %v)", path, err, cause)
 		return
@@ -327,14 +294,12 @@ func (c *Cache) Put(key string, body []byte) error {
 	c.trackTmp(filepath.Base(tmp.Name()), true)
 	defer c.trackTmp(filepath.Base(tmp.Name()), false)
 	defer c.fs.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write([]byte(header)); err == nil {
+	_, err = tmp.Write([]byte(header))
+	if err == nil {
 		_, err = tmp.Write(body)
-		if err == nil {
-			err = tmp.Sync()
-		}
-	} else {
-		tmp.Close()
-		return fmt.Errorf("cache: write: %w", err)
+	}
+	if err == nil {
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -348,14 +313,16 @@ func (c *Cache) Put(key string, body []byte) error {
 	if err := journal.SyncDirOn(c.fs, c.dir); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	c.touch(key, int64(len(header)+len(body)), true)
+	c.touch(key, int64(len(header)+len(body)))
 	return nil
 }
 
 // Remove evicts key's entry from disk and the index. A missing file is
 // not an error (a concurrent quarantine or a crash already took it).
 func (c *Cache) Remove(key string) error {
-	c.forget(key)
+	c.mu.Lock()
+	delete(c.entries, key)
+	c.mu.Unlock()
 	if err := c.fs.Remove(c.path(key)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -367,17 +334,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Usage reports the summed size of stored entries in bytes.
-func (c *Cache) Usage() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, m := range c.entries {
-		total += m.size
-	}
-	return total
 }
 
 // lruEntry is one row of the eviction ordering.

@@ -130,3 +130,33 @@ func TestCacheLenIgnoresQuarantine(t *testing.T) {
 		t.Fatalf("Len = %d after quarantine, want 1", n)
 	}
 }
+
+// TestCachePutWriteFailures: a failed body write or fsync fails the Put
+// and leaves no entry behind — an entry the disk never made durable must
+// not be reported stored.
+func TestCachePutWriteFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule fsx.Rule
+	}{
+		{"header write", fsx.Rule{Op: fsx.OpWrite, Nth: 1}},
+		{"body write", fsx.Rule{Op: fsx.OpWrite, Nth: 2, ShortWrite: true}},
+		{"fsync", fsx.Rule{Op: fsx.OpSync}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ff := fsx.NewFault(nil)
+			c, err := NewCacheFS(ff, t.TempDir(), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff.Inject(tc.rule)
+			if err := c.Put("k1", []byte("body\n")); err == nil {
+				t.Fatal("Put reported success through a failed write")
+			}
+			ff.Clear()
+			if _, ok := c.Get("k1"); ok || c.Len() != 0 {
+				t.Fatalf("failed Put left an entry (len %d)", c.Len())
+			}
+		})
+	}
+}

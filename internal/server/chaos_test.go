@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -76,43 +75,46 @@ func mustSweep(t *testing.T, url, wantPersist string, wantBody []byte) *http.Res
 	return resp
 }
 
-// TestChaosTornAppendENOSPC: the disk fills mid-sweep, tearing a journal
-// append. The sweep finishes from memory, the response is identical to a
-// healthy run, and after the disk clears the torn journal resumes
-// cleanly and persistence heals.
+// TestChaosTornAppendENOSPC: the disk fills mid-sweep, tearing a run
+// entry's write. The sweep finishes from memory, the response is
+// identical to a healthy run, and after the disk clears the resubmission
+// takes the run stored before the tear and persistence heals.
 func TestChaosTornAppendENOSPC(t *testing.T) {
 	clean := cleanBaseline(t)
 	ff, s, url := faultedServer(t)
 
-	// Write #1 is the journal header; write #2 is the first run's append —
-	// that one tears (half the line lands) and every write after fails,
-	// probe writes included, until the fault clears.
-	ff.Inject(fsx.Rule{Op: fsx.OpWrite, Nth: 2, Err: fsx.ErrNoSpace, Trip: true, ShortWrite: true})
+	// Writes #1 and #2 are the first run entry's header and body; write
+	// #3, the second entry's header, tears (half of it lands) and every
+	// write after fails, probe writes included, until the fault clears.
+	ff.Inject(fsx.Rule{Op: fsx.OpWrite, Nth: 3, Err: fsx.ErrNoSpace, Trip: true, ShortWrite: true})
 	mustSweep(t, url, "degraded", clean)
-	if op, _, degraded := s.persist.detail(); !degraded || op != opJournalAppend {
-		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opJournalAppend)
+	if op, _, degraded := s.persist.detail(); !degraded || op != opCachePut {
+		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opCachePut)
 	}
-	// Nothing was memoized: the state dir holds only the torn journal.
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 1 {
-		t.Fatalf("journals after torn sweep = %v, want the torn one", journals)
+	// Only the run stored before the tear is on disk; no torn entry and
+	// no document.
+	entries, _ := filepath.Glob(filepath.Join(s.cache.dir, "*.entry"))
+	if len(entries) != 1 {
+		t.Fatalf("entries after torn sweep = %v, want the one run stored before the tear", entries)
 	}
 
 	// The disk clears; the probe re-enables persistence, and the next
-	// request reopens the torn journal (truncating the torn tail), runs,
-	// and memoizes — same bytes throughout.
+	// request takes the stored run, executes the rest, and stores the
+	// document — same bytes throughout.
 	ff.Clear()
 	waitPersist(t, s, "ok")
-	mustSweep(t, url, "ok", clean)
-
 	resp := mustSweep(t, url, "ok", clean)
+	if got := resp.Header.Get(HeaderResumed); got != "1" {
+		t.Fatalf("post-recovery %s = %q, want 1 (the run stored before the tear)", HeaderResumed, got)
+	}
+	resp = mustSweep(t, url, "ok", clean)
 	if got := resp.Header.Get(HeaderCache); got != "hit" {
 		t.Fatalf("post-recovery repeat %s = %q, want hit", HeaderCache, got)
 	}
 }
 
-// TestChaosFsyncEIO: every fsync fails (a dying device), so the journal
-// cannot even be created. The sweep runs entirely un-journaled, the
+// TestChaosFsyncEIO: every fsync fails (a dying device), so not even the
+// first run entry can be stored. The sweep runs entirely from memory, the
 // response is identical, /readyz stays ready with a degraded detail, and
 // recovery restores full persistence.
 func TestChaosFsyncEIO(t *testing.T) {
@@ -121,8 +123,11 @@ func TestChaosFsyncEIO(t *testing.T) {
 
 	ff.FailOp(fsx.OpSync, fsx.ErrIO)
 	mustSweep(t, url, "degraded", clean)
-	if op, _, degraded := s.persist.detail(); !degraded || op != opJournalCreate {
-		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opJournalCreate)
+	if op, _, degraded := s.persist.detail(); !degraded || op != opCachePut {
+		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opCachePut)
+	}
+	if entries, _ := filepath.Glob(filepath.Join(s.cache.dir, "*.entry")); len(entries) != 0 {
+		t.Fatalf("entries stored through a failing fsync: %v", entries)
 	}
 
 	// Degraded is a warning, not an outage: /readyz stays 200.
@@ -148,9 +153,9 @@ func TestChaosFsyncEIO(t *testing.T) {
 	}
 }
 
-// TestChaosRenameFail: the sweep executes and journals fine but the cache
-// entry's atomic rename fails. The response is still served identical;
-// only memoization is lost.
+// TestChaosRenameFail: the sweep executes fine but the first run entry's
+// atomic rename fails. The response is still served identical; only
+// storing is lost.
 func TestChaosRenameFail(t *testing.T) {
 	clean := cleanBaseline(t)
 	ff, s, url := faultedServer(t)
@@ -167,36 +172,5 @@ func TestChaosRenameFail(t *testing.T) {
 	resp := mustSweep(t, url, "ok", clean)
 	if got := resp.Header.Get(HeaderCache); got != "hit" {
 		t.Fatalf("post-recovery repeat %s = %q, want hit", HeaderCache, got)
-	}
-}
-
-// TestQuarantineUniqueSuffixJournal: repeatedly corrupting one
-// fingerprint's journal must preserve every quarantined specimen.
-func TestQuarantineUniqueSuffixJournal(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.GCInterval = -1 })
-	var req SweepRequest
-	if err := json.Unmarshal([]byte(fastSweep), &req); err != nil {
-		t.Fatal(err)
-	}
-	p, err := resolveSweep(&req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.journalDir, p.fingerprint+".journal")
-	for i := 0; i < 2; i++ {
-		if err := os.WriteFile(path, []byte("not a journal\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		state, err := s.openJournal(path, p)
-		if err != nil {
-			t.Fatalf("openJournal after corruption %d: %v", i, err)
-		}
-		state.Close()
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("first journal quarantine missing: %v", err)
-	}
-	if _, err := os.Stat(path + ".corrupt.1"); err != nil {
-		t.Fatalf("second journal quarantine did not get a unique suffix: %v", err)
 	}
 }

@@ -31,27 +31,18 @@ func (s *Server) gcLoop() {
 	}
 }
 
-// runGC is one garbage-collection pass over the state dir: remove
-// orphaned temp files, quarantines old enough to have been inspected,
-// and journals whose fingerprint's result is already cached; then
-// re-measure usage and evict LRU cache entries down to the byte quota.
-// GC is strictly advisory — every failure is counted and logged, none
-// flips degraded mode or fails a request.
+// runGC is one garbage-collection pass over the store's directory:
+// remove orphaned temp files and quarantines old enough to have been
+// inspected, then re-measure usage and evict LRU entries down to the byte
+// quota. GC is strictly advisory — every failure is counted and logged,
+// none flips degraded mode or fails a request.
 func (s *Server) runGC(startup bool) {
 	s.m.gcRuns.Inc()
-	s.gcDir(s.cache.dir, startup, false)
-	s.gcDir(s.journalDir, startup, true)
-	s.enforceQuota()
-}
-
-// gcDir sweeps one state-dir subdirectory. journals selects the extra
-// subsumed-journal rule.
-func (s *Server) gcDir(dir string, startup, journals bool) {
+	dir := s.cache.dir
 	ents, err := s.fs.ReadDir(dir)
 	if err != nil {
 		s.cfg.Logf("gc: scan %s: %v", dir, err)
 		s.m.gcFailures.Inc()
-		return
 	}
 	now := time.Now()
 	for _, e := range ents {
@@ -83,34 +74,9 @@ func (s *Server) gcDir(dir string, startup, journals bool) {
 				continue
 			}
 			s.gcRemove(path, s.m.gcRemovedCorrupt, "aged quarantine")
-		case journals && strings.HasSuffix(name, ".journal"):
-			// A journal whose fingerprint already has a cached result is
-			// fully subsumed: a repeat request hits the cache and never
-			// opens it (normally the handler removes it after a successful
-			// cache write; a crash between the two leaves this orphan).
-			fp := journalFingerprint(name)
-			if fp == "" || !s.cache.Has(fp) {
-				continue
-			}
-			s.gcRemove(path, s.m.gcRemovedJournal, "journal subsumed by cache entry")
 		}
 	}
-}
-
-// journalFingerprint extracts the fingerprint prefix from a journal file
-// name (<fp>.journal or <fp>-<requestid>.journal). Fingerprints are
-// sha256 hex, so the first 64 bytes are the whole key; anything shorter
-// is not ours and is left alone.
-func journalFingerprint(name string) string {
-	base := strings.TrimSuffix(name, ".journal")
-	if len(base) < 64 {
-		return ""
-	}
-	fp := base[:64]
-	if len(base) > 64 && base[64] != '-' {
-		return ""
-	}
-	return fp
+	s.enforceQuota()
 }
 
 // gcRemove removes one file, counting the outcome. A vanished file is
@@ -128,33 +94,28 @@ func (s *Server) gcRemove(path string, counter interface{ Inc() }, why string) {
 	s.cfg.Logf("gc: removed %s (%s)", path, why)
 }
 
-// stateUsage sums the state dir's file sizes (journals + cache, one
-// level deep — the layout has no nesting).
+// stateUsage sums the sizes of the files in the store's directory —
+// entries, quarantines, temp files and the index alike (the layout has
+// no nesting).
 func (s *Server) stateUsage() int64 {
 	var total int64
-	for _, dir := range []string{s.journalDir, s.cache.dir} {
-		ents, err := s.fs.ReadDir(dir)
-		if err != nil {
+	ents, _ := s.fs.ReadDir(s.cache.dir)
+	for _, e := range ents {
+		if e.IsDir() {
 			continue
 		}
-		for _, e := range ents {
-			if e.IsDir() {
-				continue
-			}
-			if info, err := e.Info(); err == nil {
-				total += info.Size()
-			}
+		if info, err := e.Info(); err == nil {
+			total += info.Size()
 		}
 	}
 	return total
 }
 
 // enforceQuota publishes the state dir's size and, when a quota is set
-// and exceeded, evicts least-recently-used cache entries until the dir
-// fits. Only cache entries are evicted: a journal is checkpoint state
-// for an in-flight or interrupted sweep, and deleting one trades
-// durability for space — the wrong trade for a budget mechanism. An
-// evicted fingerprint simply recomputes (and re-caches) on next request.
+// and exceeded, evicts least-recently-used entries until the dir fits.
+// Run entries and documents are evicted alike: an evicted run or sweep
+// simply recomputes (and is stored again) on next request, and an
+// in-flight sweep already holds the runs it read.
 func (s *Server) enforceQuota() {
 	total := s.stateUsage()
 	s.m.stateBytes.Set(total)
@@ -174,7 +135,7 @@ func (s *Server) enforceQuota() {
 		s.m.evictedEntries.Inc()
 		total -= ent.size
 		evicted++
-		s.cfg.Logf("gc: evicted cache entry %s (%d bytes, LRU) for quota", short(ent.key), ent.size)
+		s.cfg.Logf("gc: evicted entry %s (%d bytes, LRU) for quota", short(ent.key), ent.size)
 	}
 	if evicted > 0 {
 		if err := journal.SyncDirOn(s.fs, s.cache.dir); err != nil {

@@ -27,25 +27,23 @@ type serverMetrics struct {
 	inFlight              metrics.Gauge // admitted weight = concurrent sims
 	waiting               metrics.Gauge
 
-	// Result cache and checkpoint journals.
-	cacheHits          metrics.Counter
-	cacheMisses        metrics.Counter
-	cacheQuarantined   metrics.Counter
-	journalQuarantined metrics.Counter
-	sweepsResumed      metrics.Counter // requests that picked up a journal
-	resumedRuns        metrics.Counter // runs replayed instead of executed
-	coalesced          metrics.Counter // requests served by another's result
+	// The store: documents served and rendered, corrupt entries, and
+	// runs taken from it instead of executed.
+	cacheHits        metrics.Counter
+	cacheMisses      metrics.Counter
+	cacheQuarantined metrics.Counter
+	sweepsResumed    metrics.Counter // sweeps that took runs from the store
+	resumedRuns      metrics.Counter // runs taken instead of executed
+	coalesced        metrics.Counter // requests served by another's result
 
 	// Streaming: clients too slow to drain their own progress stream.
 	rejectedSlowClient metrics.Counter
 
 	// Persistence health: the degraded (no-persistence) mode switch, the
 	// failures that flipped it (by failing operation), and recoveries.
-	persistDegraded       metrics.Gauge // 1 while degraded, else 0
-	degradedJournalCreate metrics.Counter
-	degradedJournalAppend metrics.Counter
-	degradedCachePut      metrics.Counter
-	persistRecovered      metrics.Counter
+	persistDegraded  metrics.Gauge // 1 while degraded, else 0
+	degradedCachePut metrics.Counter
+	persistRecovered metrics.Counter
 
 	// State-dir budgeting: live usage, quota evictions, GC activity.
 	stateBytes       metrics.Gauge
@@ -54,7 +52,6 @@ type serverMetrics struct {
 	gcFailures       metrics.Counter
 	gcRemovedTmp     metrics.Counter
 	gcRemovedCorrupt metrics.Counter
-	gcRemovedJournal metrics.Counter
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
@@ -65,7 +62,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		"Persistence failures that flipped (or kept) the daemon in degraded no-persistence mode, by failing operation.",
 		"op")
 	removed := r.CounterVec("hetsimd_gc_removed_total",
-		"State-dir files removed by garbage collection, by kind (tmp=orphaned temp files, corrupt=aged quarantines, journal=journals subsumed by a cache entry).",
+		"State-dir files removed by garbage collection, by kind (tmp=orphaned temp files, corrupt=aged quarantines).",
 		"kind")
 	evicted := r.CounterVec("hetsimd_evicted_total",
 		"Files evicted to keep the state dir under its byte quota, by kind.",
@@ -88,29 +85,25 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		waiting: r.Gauge("hetsimd_gate_waiting",
 			"Requests currently queued in the bounded admission line."),
 		cacheHits: r.Counter("hetsimd_cache_hits_total",
-			"Requests served from the verified result cache."),
+			"Requests answered with a verified stored document or run."),
 		cacheMisses: r.Counter("hetsimd_cache_misses_total",
-			"Requests that executed because no valid cache entry existed."),
+			"Requests that rendered their response because nothing valid was stored for it."),
 		cacheQuarantined: r.Counter("hetsimd_cache_quarantined_total",
-			"Corrupt cache entries renamed aside and recomputed."),
-		journalQuarantined: r.Counter("hetsimd_journal_quarantined_total",
-			"Corrupt or mismatched checkpoint journals renamed aside."),
+			"Corrupt store entries (runs or documents) renamed aside and recomputed."),
 		sweepsResumed: r.Counter("hetsimd_sweeps_resumed_total",
-			"Sweep requests that resumed a checkpoint journal from an earlier interrupted request."),
+			"Sweep requests that took at least one run from the store: an interrupted request's checkpoint or a run shared with an earlier request."),
 		resumedRuns: r.Counter("hetsimd_resumed_runs_total",
-			"Runs replayed from checkpoint journals instead of executed."),
+			"Runs sweeps took from the store instead of executing: cross-request run reuse, resumes included."),
 		coalesced: r.Counter("hetsimd_coalesced_total",
 			"Requests that waited on an identical in-flight request and were served its result."),
 		rejectedSlowClient: rejected.With("slow_client"),
 		persistDegraded: r.Gauge("hetsimd_persist_degraded",
-			"1 while the daemon is in degraded no-persistence mode (serving from memory, not journaling or caching), else 0."),
-		degradedJournalCreate: degraded.With("journal_create"),
-		degradedJournalAppend: degraded.With("journal_append"),
-		degradedCachePut:      degraded.With("cache_put"),
+			"1 while the daemon is in degraded no-persistence mode (serving from memory, storing nothing), else 0."),
+		degradedCachePut: degraded.With(opCachePut),
 		persistRecovered: r.Counter("hetsimd_persist_recovered_total",
 			"Times the persistence probe succeeded and the daemon left degraded mode."),
 		stateBytes: r.Gauge("hetsimd_state_bytes",
-			"Total bytes in the state dir (journals + cache) at the last GC or quota check."),
+			"Total bytes in the state dir's store at the last GC or quota check."),
 		evictedEntries: evicted.With("entry"),
 		gcRuns: r.Counter("hetsimd_gc_runs_total",
 			"State-dir garbage-collection passes completed (startup plus periodic)."),
@@ -118,6 +111,5 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 			"Individual removals or evictions the garbage collector attempted and could not complete."),
 		gcRemovedTmp:     removed.With("tmp"),
 		gcRemovedCorrupt: removed.With("corrupt"),
-		gcRemovedJournal: removed.With("journal"),
 	}
 }

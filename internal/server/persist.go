@@ -7,16 +7,12 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/metrics"
 )
 
-// The persistence operations that can flip the daemon into degraded mode.
-// Each is a label value of hetsimd_persist_degraded_total.
-const (
-	opJournalCreate = "journal_create" // opening/creating a checkpoint journal
-	opJournalAppend = "journal_append" // appending a completed run mid-sweep
-	opCachePut      = "cache_put"      // memoizing a completed response
-)
+// opCachePut is the store's one write, so the one persistence operation
+// that can flip the daemon into degraded mode: the op label of
+// hetsimd_persist_degraded_total and the persist_op /readyz reports.
+const opCachePut = "cache_put"
 
 // persistGuard is the daemon's degraded-mode switch. The design rule it
 // enforces: persistence failures are never request failures. A full disk,
@@ -24,23 +20,21 @@ const (
 // memory, the response is served correct and byte-identical to a healthy
 // run (the documents carry no persistence state), and only the
 // X-Hetsimd-Persist header, /readyz detail, and metrics tell the operator
-// the daemon is running without a safety net: no checkpoint journals, no
-// result memoization, so a crash loses in-flight progress and repeated
-// requests recompute.
+// the daemon is running without a safety net: nothing new is stored, so
+// a crash loses in-flight progress and repeated requests recompute.
 //
-// While degraded, the daemon stops attempting journal creates and cache
-// writes (one failure is a signal, a failure per request is log spam and
-// wasted syscalls on a dead disk) and a single background probe
+// While degraded, the daemon stops attempting store writes (one failure
+// is a signal, a failure per run is log spam and wasted syscalls on a
+// dead disk) and a single background probe
 // periodically exercises the state dir — write, fsync, remove — with
 // exponential backoff. The first successful probe re-enables persistence.
-// Cache reads continue throughout: serving a verified entry that is
+// Store reads continue throughout: serving a verified entry that is
 // already on disk needs no writes.
 type persistGuard struct {
 	s *Server
 
 	mu       sync.Mutex
 	degraded bool
-	lastOp   string // which operation failed last
 	lastErr  error
 	probing  bool // one probe goroutine at a time
 }
@@ -64,29 +58,20 @@ func (g *persistGuard) status() string {
 func (g *persistGuard) detail() (op string, err error, degraded bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.lastOp, g.lastErr, g.degraded
-}
-
-// counterFor maps an operation to its pre-resolved failure counter.
-func (g *persistGuard) counterFor(op string) metrics.Counter {
-	switch op {
-	case opJournalCreate:
-		return g.s.m.degradedJournalCreate
-	case opJournalAppend:
-		return g.s.m.degradedJournalAppend
-	default:
-		return g.s.m.degradedCachePut
+	if !g.degraded {
+		return "", nil, false
 	}
+	return opCachePut, g.lastErr, true
 }
 
-// degrade records a persistence failure and enters (or stays in) degraded
+// degrade records a failed store write and enters (or stays in) degraded
 // mode, starting the recovery probe if one is not already running.
-func (g *persistGuard) degrade(op string, err error) {
-	g.counterFor(op).Inc()
+func (g *persistGuard) degrade(err error) {
+	g.s.m.degradedCachePut.Inc()
 	g.mu.Lock()
 	wasOK := !g.degraded
 	g.degraded = true
-	g.lastOp, g.lastErr = op, err
+	g.lastErr = err
 	startProbe := !g.probing
 	if startProbe {
 		g.probing = true
@@ -94,7 +79,7 @@ func (g *persistGuard) degrade(op string, err error) {
 	g.mu.Unlock()
 	if wasOK {
 		g.s.m.persistDegraded.Set(1)
-		g.s.cfg.Logf("persistence degraded (%s failed): %v — serving from memory, probing for recovery", op, err)
+		g.s.cfg.Logf("persistence degraded (%s failed): %v — serving from memory, probing for recovery", opCachePut, err)
 	}
 	if startProbe {
 		go g.probeLoop()
@@ -128,18 +113,18 @@ func (g *persistGuard) probeLoop() {
 		g.mu.Lock()
 		g.degraded = false
 		g.probing = false
-		g.lastOp, g.lastErr = "", nil
+		g.lastErr = nil
 		g.mu.Unlock()
 		g.s.m.persistDegraded.Set(0)
 		g.s.m.persistRecovered.Inc()
-		g.s.cfg.Logf("persistence recovered: state dir writable again, journaling and caching re-enabled")
+		g.s.cfg.Logf("persistence recovered: state dir writable again, storing re-enabled")
 		return
 	}
 }
 
 // probe exercises the full durable-write path the daemon depends on:
 // create, write, fsync, close, atomic rename, remove, directory fsync —
-// the same sequence a journal create or cache Put performs, through the
+// the same sequence a store write performs, through the
 // same filesystem seam, so any fault that would break real persistence
 // also holds the daemon degraded.
 func (g *persistGuard) probe() error {

@@ -18,7 +18,7 @@ import (
 // Fields that change simulation results (benchmarks, size, budgets, fault
 // plan, stall) are part of the request fingerprint; fields that only
 // change scheduling (jobs) or request lifetime (deadline) are not, so
-// the same experiment always maps to the same cache entry and journal.
+// the same experiment always maps to the same stored document and runs.
 type SweepRequest struct {
 	// Benchmarks restricts the sweep to these full names ("suite/name");
 	// empty sweeps every registered benchmark.

@@ -8,22 +8,24 @@
 //   - Admission control: a weighted gate caps concurrent simulations at
 //     the configured pool size and bounds the waiting line; beyond that,
 //     requests fail fast with 429 + Retry-After instead of queueing
-//     without bound.
+//     without bound. A stored response needs no slot and skips the gate.
 //   - Request isolation: every request's simulations run under the
 //     fault-tolerant harness (a panicking or livelocked run fails that
 //     request with a structured error, never the process), per-request
 //     deadlines cancel through the engines' periodic checks, and a
 //     handler-level recover turns server bugs into 500s.
-//   - Durability: each sweep request checkpoints into its own
-//     fingerprint-keyed journal, so a killed daemon resumes rather than
-//     restarts; completed responses are memoized in a CRC-verified
-//     content-addressed cache, so a repeated request is a disk read.
-//     Corrupt entries quarantine and recompute — the store self-heals
-//     instead of refusing service.
+//   - Durability: one CRC-verified content-addressed store holds every
+//     completed run, keyed by its run fingerprint, and every rendered
+//     sweep document, keyed by its sweep fingerprint. A sweep stores each
+//     run as it finishes, so a killed daemon resumes rather than restarts,
+//     and any request — a resubmission, an overlapping sweep, a /v1/run —
+//     takes the runs it shares from the store instead of re-simulating
+//     them; a repeated sweep is one disk read. Corrupt entries quarantine
+//     and recompute — the store self-heals instead of refusing service.
 //   - Graceful drain: the Drain context (first SIGTERM) stops admission
 //     and stops dispatching new runs inside in-flight sweeps; what has
-//     completed is journaled and the client is told to resubmit. The
-//     Hard context (second signal) aborts in-flight runs too.
+//     completed is stored and the client is told to resubmit. The Hard
+//     context (second signal) aborts in-flight runs too.
 package server
 
 import (
@@ -34,13 +36,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,22 +47,19 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fsx"
 	"repro/internal/harness"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
 
-// JournalKind stamps the server's per-request sweep journals.
-const JournalKind = "hetsimd"
-
 // Response headers the daemon sets; tests and operators key off them.
 const (
-	// HeaderCache reports whether the response body came from the result
-	// cache ("hit") or a fresh execution ("miss").
+	// HeaderCache reports whether the response body was a stored
+	// document ("hit") or was rendered by this request ("miss").
 	HeaderCache = "X-Hetsimd-Cache"
-	// HeaderResumed reports how many of a sweep's runs were replayed
-	// from its checkpoint journal instead of executed (a restart
-	// resuming interrupted work).
+	// HeaderResumed reports how many of a sweep's runs were taken from
+	// the store instead of executed: checkpointed by an interrupted
+	// request for the same sweep, or run by any earlier request that
+	// shares them.
 	HeaderResumed = "X-Hetsimd-Resumed"
 	// HeaderWallMs reports the handler's wall-clock cost in ms. The
 	// response bodies themselves carry no wall times — those are scrubbed
@@ -72,16 +68,15 @@ const (
 	HeaderWallMs = "X-Hetsimd-Wall-Ms"
 	// HeaderPersist reports the daemon's persistence health for this
 	// response: "ok", or "degraded" when a state-dir failure has the
-	// daemon serving correct results from memory without checkpointing
-	// or memoizing them (see persistGuard).
+	// daemon serving correct results from memory without storing them
+	// (see persistGuard).
 	HeaderPersist = "X-Hetsimd-Persist"
 )
 
 // Config parameterizes a Server.
 type Config struct {
-	// StateDir roots the daemon's durable state: StateDir/journals for
-	// per-request checkpoint journals, StateDir/cache for the result
-	// cache. Required.
+	// StateDir roots the daemon's durable state: StateDir/cache holds
+	// the store of run entries and sweep documents. Required.
 	StateDir string
 	// Pool caps concurrently executing simulations across all requests
 	// (0 = GOMAXPROCS). This is the hard bound admission enforces.
@@ -106,21 +101,22 @@ type Config struct {
 	// Metrics is the registry the server's families register in and the
 	// one GET /metrics serves. Nil means metrics.Default — the registry
 	// the harness and journal layers already feed, so one scrape covers
-	// HTTP, admission, cache, and run-lifecycle counters together.
+	// HTTP, admission, store, and run-lifecycle counters together.
 	Metrics *metrics.Registry
 	// FS is the filesystem every persistence operation goes through —
-	// journals, the result cache, GC, the recovery probe. Nil means the
+	// the store, GC, the recovery probe. Nil means the
 	// real OS filesystem; the chaos tests inject an *fsx.Fault here to
 	// script disk failures underneath live requests.
 	FS fsx.FS
 	// StateQuota caps the state dir's total size in bytes. When a pass of
 	// the garbage collector (or a completed request) finds the dir over
-	// budget, least-recently-used cache entries are evicted until it
-	// fits; evicted fingerprints recompute on next request. 0 = no limit.
+	// budget, least-recently-used entries — runs and documents alike —
+	// are evicted until it fits; evicted fingerprints recompute on next
+	// request. 0 = no limit.
 	StateQuota int64
 	// GCInterval spaces the periodic state-dir garbage-collection passes
-	// (orphaned temp files, aged quarantines, subsumed journals, quota
-	// enforcement). 0 = every minute; negative disables the periodic
+	// (orphaned temp files, aged quarantines, quota enforcement).
+	// 0 = every minute; negative disables the periodic
 	// loop (the startup pass still runs).
 	GCInterval time.Duration
 	// CorruptAge is how long quarantined *.corrupt files are kept for
@@ -141,14 +137,13 @@ type Config struct {
 // Server is the sweep-as-a-service request layer. Build with New, mount
 // with Handler.
 type Server struct {
-	cfg        Config
-	fs         fsx.FS
-	gate       *Gate
-	cache      *Cache
-	journalDir string
-	locks      sync.Map // fingerprint -> *sync.Mutex (sweep singleflight)
-	m          *serverMetrics
-	persist    *persistGuard
+	cfg     Config
+	fs      fsx.FS
+	gate    *Gate
+	cache   *Cache
+	locks   sync.Map // fingerprint -> *sync.Mutex (sweep singleflight)
+	m       *serverMetrics
+	persist *persistGuard
 
 	// Execution seams, overridden by tests to substitute deterministic
 	// stand-ins for the simulator.
@@ -200,10 +195,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	journalDir := filepath.Join(cfg.StateDir, "journals")
-	if err := cfg.FS.MkdirAll(journalDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: state dir: %w", err)
-	}
 	cache, err := NewCacheFS(cfg.FS, filepath.Join(cfg.StateDir, "cache"), cfg.Logf)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -213,19 +204,18 @@ func New(cfg Config) (*Server, error) {
 	gate := NewGate(cfg.Pool, cfg.Queue)
 	gate.Instrument(m.inFlight, m.waiting)
 	s := &Server{
-		cfg:        cfg,
-		fs:         cfg.FS,
-		gate:       gate,
-		cache:      cache,
-		journalDir: journalDir,
-		m:          m,
-		runSweep:   experiments.RunSweep,
-		runOne:     harness.Run,
+		cfg:      cfg,
+		fs:       cfg.FS,
+		gate:     gate,
+		cache:    cache,
+		m:        m,
+		runSweep: experiments.RunSweep,
+		runOne:   harness.Run,
 	}
 	s.persist = &persistGuard{s: s}
 	// Startup GC: reclaim what a previous process's crash left behind
-	// (half-written temp files, journals already subsumed by cache
-	// entries) before serving, then keep the dir tidy periodically.
+	// (half-written temp files) before serving, then keep the dir tidy
+	// periodically.
 	s.runGC(true)
 	if cfg.GCInterval > 0 {
 		go s.gcLoop()
@@ -483,50 +473,55 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rows)
 }
 
-// admit performs the shared admission steps: drain check, deadline
-// wiring, gate entry. It returns the request context (with any deadline
-// applied), the gate release, and false if the response has already been
-// written.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, deadline time.Duration, weight int) (context.Context, context.CancelFunc, func(), bool) {
-	if s.draining() {
-		s.m.rejectedDraining.Inc()
-		s.retryAfter(w)
-		writeJSONError(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against another instance or after restart")
-		return nil, nil, nil, false
+// rejectDraining answers 503 once drain has begun and reports whether
+// it did. Every run and sweep request checks it first: a draining server
+// takes on nothing new, stored or not.
+func (s *Server) rejectDraining(w http.ResponseWriter) bool {
+	if !s.draining() {
+		return false
 	}
-	reqCtx := r.Context()
-	var cancel context.CancelFunc
+	s.m.rejectedDraining.Inc()
+	s.retryAfter(w)
+	writeJSONError(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against another instance or after restart")
+	return true
+}
+
+// requestCtx derives the request context: bounded by the request's
+// deadline when it set one, and always cancelable — the slow-client
+// guard aborts a request whose stream reader stalled by canceling it.
+func requestCtx(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
 	if deadline > 0 {
-		reqCtx, cancel = context.WithTimeout(reqCtx, deadline)
-	} else {
-		// Always cancelable: the slow-client guard aborts a request whose
-		// stream reader stalled by canceling this context.
-		reqCtx, cancel = context.WithCancel(reqCtx)
+		return context.WithTimeout(r.Context(), deadline)
 	}
+	return context.WithCancel(r.Context())
+}
+
+// admit takes weight simulation slots from the gate for a request that
+// must execute. It returns the gate release, or false once the rejection
+// has been written.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, weight int) (func(), bool) {
 	wait0 := time.Now()
-	release, err := s.gate.Admit(reqCtx, weight)
+	release, err := s.gate.Admit(ctx, weight)
 	s.m.queueWait.Observe(time.Since(wait0).Seconds())
-	if err != nil {
-		cancel()
-		switch {
-		case errors.Is(err, ErrBusy):
-			s.m.rejectedBusy.Inc()
-			s.retryAfter(w)
-			writeJSONError(w, http.StatusTooManyRequests, "busy",
-				fmt.Sprintf("all %d simulation slots busy and the waiting line (%d) is full", s.cfg.Pool, s.cfg.Queue))
-		case errors.Is(err, context.DeadlineExceeded):
-			// The deadline was the client's, but the wait was this server's
-			// congestion: hint when to retry, as the 429 path does.
-			s.m.rejectedQueueDeadline.Inc()
-			s.retryAfter(w)
-			writeJSONError(w, http.StatusGatewayTimeout, "deadline", "request deadline expired while queued for admission")
-		default:
-			// Client went away while queued; nothing useful to write.
-			s.m.rejectedCanceled.Inc()
-		}
-		return nil, nil, nil, false
+	switch {
+	case err == nil:
+		return release, true
+	case errors.Is(err, ErrBusy):
+		s.m.rejectedBusy.Inc()
+		s.retryAfter(w)
+		writeJSONError(w, http.StatusTooManyRequests, "busy",
+			fmt.Sprintf("all %d simulation slots busy and the waiting line (%d) is full", s.cfg.Pool, s.cfg.Queue))
+	case errors.Is(err, context.DeadlineExceeded):
+		// The deadline was the client's, but the wait was this server's
+		// congestion: hint when to retry, as the 429 path does.
+		s.m.rejectedQueueDeadline.Inc()
+		s.retryAfter(w)
+		writeJSONError(w, http.StatusGatewayTimeout, "deadline", "request deadline expired while queued for admission")
+	default:
+		// Client went away while queued; nothing useful to write.
+		s.m.rejectedCanceled.Inc()
 	}
-	return reqCtx, cancel, release, true
+	return nil, false
 }
 
 // serveDoc writes a completed JSON document with the daemon's telemetry
@@ -557,70 +552,11 @@ func (s *Server) serveDoc(w http.ResponseWriter, st *streamer, body []byte, cach
 }
 
 // fpLock returns the singleflight mutex for a fingerprint: concurrent
-// identical sweep requests must not share one journal file, so the
-// second waits and then (typically) finds the first's cache entry.
+// identical sweep requests must not execute the same runs twice, so the
+// second waits and then (typically) finds the first's document.
 func (s *Server) fpLock(fp string) *sync.Mutex {
 	v, _ := s.locks.LoadOrStore(fp, &sync.Mutex{})
 	return v.(*sync.Mutex)
-}
-
-// journalPath resolves a sweep's checkpoint journal file. A journal left
-// by an earlier interrupted request for the same fingerprint wins — the
-// glob matches any request's ID suffix (and the legacy bare name), and a
-// fingerprint is a fixed-length hash so one fingerprint's pattern can
-// never match another's files. A fresh journal is named with the creating
-// request's correlation ID, so `ls STATE/journals` answers which request
-// left which checkpoint. Callers hold the fingerprint's singleflight
-// lock, so at most one journal per fingerprint exists at a time.
-func (s *Server) journalPath(fp, requestID string) string {
-	var matches []string
-	if ents, err := s.fs.ReadDir(s.journalDir); err == nil {
-		for _, e := range ents {
-			n := e.Name()
-			if strings.HasPrefix(n, fp) && strings.HasSuffix(n, ".journal") {
-				matches = append(matches, n)
-			}
-		}
-	}
-	if len(matches) > 0 {
-		sort.Strings(matches)
-		return filepath.Join(s.journalDir, matches[0])
-	}
-	name := fp + ".journal"
-	if requestID != "" {
-		name = fp + "-" + requestID + ".journal"
-	}
-	return filepath.Join(s.journalDir, name)
-}
-
-// openJournal opens (resume semantics) the fingerprint-keyed checkpoint
-// journal for a sweep request. A corrupt or mismatched journal is
-// quarantined — renamed aside and logged, like a corrupt cache entry —
-// and a fresh one begins: the robust daemon recomputes, it never wedges a
-// fingerprint on damaged state.
-func (s *Server) openJournal(path string, p *sweepParams) (*harness.RunLog, error) {
-	state, err := experiments.OpenStateAtFS(s.fs, path, JournalKind, true, p.size, p.opts)
-	if err == nil {
-		return state, nil
-	}
-	if errors.Is(err, journal.ErrCorrupt) || errors.Is(err, journal.ErrFingerprint) {
-		s.m.journalQuarantined.Inc()
-		// The destination is unique (.corrupt, .corrupt.1, ...): repeated
-		// damage to one fingerprint keeps every specimen instead of
-		// overwriting the previous one.
-		q := uniqueQuarantinePath(s.fs, path)
-		if rerr := s.fs.Rename(path, q); rerr != nil {
-			return nil, fmt.Errorf("quarantine %s: %w (journal was bad: %v)", path, rerr, err)
-		}
-		now := time.Now()
-		s.fs.Chtimes(q, now, now) // age from quarantine time, for GC
-		if serr := journal.SyncDirOn(s.fs, s.journalDir); serr != nil {
-			s.cfg.Logf("journal quarantine: %v", serr)
-		}
-		s.cfg.Logf("quarantined bad journal %s -> %s: %v", path, q, err)
-		return experiments.OpenStateAtFS(s.fs, path, JournalKind, false, p.size, p.opts)
-	}
-	return nil, err
 }
 
 // interruption classifies why a sweep came back incomplete: canceled
@@ -642,7 +578,7 @@ func interruption(res *experiments.Results) bool {
 // scrubSweepDoc zeroes the document's wall-clock telemetry. Wall times
 // are the one nondeterministic ingredient of a sweep document; scrubbed,
 // identical requests produce byte-identical documents — which is what
-// makes the result cache coherent and lets a resumed sweep's response
+// makes the stored document coherent and lets a resumed sweep's response
 // match an uninterrupted one's exactly. The handler's real wall cost is
 // reported out of band in the X-Hetsimd-Wall-Ms header.
 func scrubSweepDoc(doc *experiments.SweepDoc) {
@@ -651,17 +587,6 @@ func scrubSweepDoc(doc *experiments.SweepDoc) {
 	}
 	for i := range doc.Footnotes.Failed {
 		doc.Footnotes.Failed[i].WallMs = 0
-	}
-}
-
-// scrubOutcome does the same for a single-run document.
-func scrubOutcome(doc *harness.OutcomeJSON) {
-	doc.WallMs = 0
-	if doc.Error != nil {
-		doc.Error.WallMs = 0
-	}
-	for i := range doc.AttemptErrors {
-		doc.AttemptErrors[i].WallMs = 0
 	}
 }
 
@@ -684,12 +609,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	t0 := time.Now()
 	requestID := RequestIDFrom(r.Context())
-	reqCtx, cancel, release, ok := s.admit(w, r, p.deadline, p.jobs)
-	if !ok {
+	if s.rejectDraining(w) {
 		return
 	}
+	reqCtx, cancel := requestCtx(r, p.deadline)
 	defer cancel()
-	defer release()
 	streamTimeout := s.cfg.StreamWriteTimeout
 	if streamTimeout < 0 {
 		streamTimeout = 0
@@ -703,13 +627,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	})
 
-	// Fast path: the fingerprint's result is already on disk, verified.
+	// Fast path: the sweep's document is already on disk, verified.
+	// Serving it takes no simulation slot, so it answers before
+	// admission: a full pool delays or rejects only work that must run.
 	if body, ok := s.cache.Get(p.fingerprint); ok {
 		s.serveDoc(w, st, body, "hit", time.Since(t0))
 		return
 	}
+	release, ok := s.admit(reqCtx, w, p.jobs)
+	if !ok {
+		return
+	}
+	defer release()
 	// One executor per fingerprint: a concurrent identical request waits
-	// here, then usually leaves through the cache re-check — the
+	// here, then usually leaves through the document re-check — the
 	// singleflight coalesce the counter below records.
 	lock := s.fpLock(p.fingerprint)
 	lock.Lock()
@@ -720,41 +651,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The journal is a safety net, not a prerequisite: if persistence is
-	// (or goes) degraded, the sweep runs entirely from memory — a nil
-	// RunLog ignores every call — and the response is identical. A
-	// persistence failure is never a request failure.
-	var state *harness.RunLog
-	jpath := s.journalPath(p.fingerprint, requestID)
-	if s.persist.ok() {
-		j, jerr := s.openJournal(jpath, p)
-		if jerr != nil {
-			s.persist.degrade(opJournalCreate, jerr)
-		} else {
-			state = j
-		}
-	}
-	resumed := state.ReplayedCount()
+	// Runs already stored — checkpointed by an interrupted request for
+	// this sweep, or run by any request that shares them — are taken
+	// from the store; the rest execute and are stored as they finish.
+	runs := s.openRuns(p)
+	resumed := len(runs.done)
 	if resumed > 0 {
 		s.m.sweepsResumed.Inc()
 		s.m.resumedRuns.Add(uint64(resumed))
-		s.cfg.Logf("sweep %s: resuming, %d runs already journaled", short(p.fingerprint), resumed)
+		s.cfg.Logf("sweep %s: resuming, %d runs already stored", short(p.fingerprint), resumed)
 	}
 
 	// Dispatch stops on drain or request end; in-flight runs abort on
 	// the hard stage or request end. Between the two, a drained request
-	// finishes (and journals) what it started.
+	// finishes (and stores) what it started.
 	dispatchCtx, stopDispatch := mergeCtx(reqCtx, s.cfg.Drain)
 	defer stopDispatch()
 	runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
 	defer stopRun()
 
 	opts := p.opts
-	opts.State = state
+	opts.State = runs
 	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
 	// The correlation ID rides along into the harness's trace spans; it is
-	// not part of the fingerprint (two requests for the same experiment
-	// share one cache entry regardless of who asked).
+	// not part of any fingerprint (two requests for the same experiment
+	// share its entries regardless of who asked).
 	opts.RequestID = requestID
 	if st != nil {
 		tracker := sweep.NewEventTracker(st.progress)
@@ -766,13 +687,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, _ := s.runSweep(p.size, opts)
-	if jerr := state.Err(); jerr != nil {
-		// Appends started failing mid-sweep (the RunLog's sticky error
-		// already downgraded the rest of the sweep to un-journaled);
-		// completed runs stayed in memory and the response is unaffected.
-		s.persist.degrade(opJournalAppend, jerr)
-	}
-	state.Close()
 
 	if interruption(res) {
 		done := len(res.Runs)
@@ -786,7 +700,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, st, http.StatusGatewayTimeout, "deadline",
 				fmt.Sprintf("request deadline expired: %d of %d runs completed and checkpointed; resubmit to resume", done, total))
 		default:
-			// Client disconnect (or hard abort): the journal keeps what
+			// Client disconnect (or hard abort): the store keeps what
 			// finished; nothing useful to write to a vanished client.
 			s.fail(w, st, http.StatusServiceUnavailable, "canceled",
 				fmt.Sprintf("request canceled: %d of %d runs completed and checkpointed", done, total))
@@ -802,25 +716,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := append(data, '\n')
+	// The document is stored beside its runs: rendering it again from
+	// them costs milliseconds, a stored hit tens of microseconds.
 	if s.persist.ok() {
 		if err := s.cache.Put(p.fingerprint, body); err != nil {
-			// The cache is an accelerator: failure to memoize must not
-			// fail the request. The journal stays put so nothing is lost.
-			s.persist.degrade(opCachePut, err)
-		} else {
-			// The cache entry subsumes the journal; drop it so the state
-			// dir stays bounded by distinct fingerprints, not request
-			// history. (A crash between Put and Remove leaves both; the
-			// cache hit wins and GC reaps the orphan journal.)
-			if err := s.fs.Remove(jpath); err != nil && !os.IsNotExist(err) {
-				s.cfg.Logf("sweep %s: removing subsumed journal: %v", short(p.fingerprint), err)
-			} else if err := journal.SyncDirOn(s.fs, s.journalDir); err != nil {
-				s.cfg.Logf("sweep %s: %v", short(p.fingerprint), err)
-			}
-			if s.cfg.StateQuota > 0 {
-				s.enforceQuota()
-			}
+			// A failed write must not fail the request: the runs stored
+			// so far stay, and a resubmission takes them.
+			s.persist.degrade(err)
 		}
+	}
+	if s.cfg.StateQuota > 0 {
+		s.enforceQuota()
 	}
 	if st == nil {
 		w.Header().Set(HeaderResumed, strconv.Itoa(resumed))
@@ -841,45 +747,44 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	reqCtx, cancel, release, ok := s.admit(w, r, p.deadline, 1)
+	if s.rejectDraining(w) {
+		return
+	}
+	// A stored run answers before admission, like a stored sweep.
+	if rec, ok := s.loadRun(p.fingerprint); ok {
+		s.serveRun(w, rec, "hit", t0)
+		return
+	}
+	reqCtx, cancel := requestCtx(r, p.deadline)
+	defer cancel()
+	release, ok := s.admit(reqCtx, w, 1)
 	if !ok {
 		return
 	}
-	defer cancel()
 	defer release()
-
-	if body, ok := s.cache.Get(p.fingerprint); ok {
-		s.serveDoc(w, nil, body, "hit", time.Since(t0))
-		return
-	}
 
 	runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
 	defer stopRun()
 	spec := p.spec
 	spec.Ctx = runCtx
 	spec.RequestID = RequestIDFrom(r.Context())
-	out := s.runOne(spec)
+	rec := runRecord(s.runOne(spec))
+	s.storeRun(p.fingerprint, rec)
+	if s.cfg.StateQuota > 0 {
+		s.enforceQuota()
+	}
+	s.serveRun(w, rec, "miss", t0)
+}
 
-	doc := out.JSON()
-	scrubOutcome(&doc)
-	data, err := json.MarshalIndent(doc, "", "  ")
+// serveRun renders a run's record as its /v1/run document. A miss and a
+// later hit render the same record, so their bytes are identical.
+func (s *Server) serveRun(w http.ResponseWriter, rec *harness.OutcomeRecord, cache string, t0 time.Time) {
+	data, err := json.MarshalIndent(rec.Outcome().JSON(), "", "  ")
 	if err != nil {
 		writeJSONError(w, http.StatusInternalServerError, "internal", "marshal outcome: "+err.Error())
 		return
 	}
-	body := append(data, '\n')
-	// A canceled outcome is an artifact of this request's shutdown
-	// (deadline, drain's hard stage, client disconnect), not a result:
-	// serve it structured, but never memoize it — the same rule the
-	// journal applies.
-	if (out.Err == nil || out.Err.Kind != harness.KindCanceled) && s.persist.ok() {
-		if err := s.cache.Put(p.fingerprint, body); err != nil {
-			s.persist.degrade(opCachePut, err)
-		} else if s.cfg.StateQuota > 0 {
-			s.enforceQuota()
-		}
-	}
-	s.serveDoc(w, nil, body, "miss", time.Since(t0))
+	s.serveDoc(w, nil, append(data, '\n'), cache, time.Since(t0))
 }
 
 // short abbreviates a fingerprint for log lines.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ import (
 // newTestServer builds a Server over a temp state dir and mounts it on an
 // httptest server. mutate may adjust the config (and the returned Server's
 // seams may be stubbed before issuing requests).
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
 		StateDir:   t.TempDir(),
@@ -181,12 +182,31 @@ func TestRunDeadlineCanceledOutcome(t *testing.T) {
 // benchmark, small size, tight event budget.
 const fastSweep = `{"benchmarks": ["rodinia/backprop"], "size": "small", "max_events": 40000}`
 
+// sweepParamsFor resolves a sweep request body as the handler does.
+func sweepParamsFor(t *testing.T, body string) *sweepParams {
+	t.Helper()
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	p, err := resolveSweep(&req, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// fastSweepRuns is how many runs fastSweep executes: rodinia/backprop in
+// every organization it supports.
+const fastSweepRuns = 4
+
 // TestSweepCacheLifecycle drives the full memoization story against the
-// real simulator: miss (execute, journal, cache), hit (byte-identical,
-// no re-execution), corrupt entry (quarantine, recompute, byte-identical
-// again).
+// real simulator: miss (execute, store every run and the document), hit
+// (byte-identical, no re-execution), corrupt document (quarantine,
+// re-render from the stored runs, byte-identical again).
 func TestSweepCacheLifecycle(t *testing.T) {
 	s, ts := newTestServer(t, nil)
+	p := sweepParamsFor(t, fastSweep)
 
 	resp := postJSON(t, ts.URL+"/v1/sweep", fastSweep)
 	clean := readBody(t, resp)
@@ -202,10 +222,14 @@ func TestSweepCacheLifecycle(t *testing.T) {
 	if bytes.Contains(clean, []byte("wall_ms")) {
 		t.Fatal("sweep document leaked wall_ms; responses must be deterministic")
 	}
-	// The completed sweep's journal is subsumed by the cache entry.
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 0 {
-		t.Fatalf("journals left after completed sweep: %v", journals)
+	// The store holds one entry per run plus the document, and nothing
+	// else lives in the state dir.
+	entries, err := filepath.Glob(filepath.Join(s.cache.dir, "*.entry"))
+	if err != nil || len(entries) != fastSweepRuns+1 {
+		t.Fatalf("entries = %v (err=%v), want %d runs and the document", entries, err, fastSweepRuns)
+	}
+	if dirs, _ := os.ReadDir(s.cfg.StateDir); len(dirs) != 1 || dirs[0].Name() != "cache" {
+		t.Fatalf("state dir holds %v, want only cache/", dirs)
 	}
 
 	// Hit: same bytes, no execution (seam trips the test if called).
@@ -222,29 +246,23 @@ func TestSweepCacheLifecycle(t *testing.T) {
 		t.Fatal("cache hit body differs from the original response")
 	}
 
-	// Corrupt the entry: quarantine + recompute, byte-identical again.
+	// Corrupt the document: quarantine + re-render from the stored runs,
+	// byte-identical again.
 	s.runSweep = experiments.RunSweep
-	entries, err := filepath.Glob(filepath.Join(s.cache.dir, "*.entry"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries = %v (err=%v), want exactly 1", entries, err)
-	}
-	data, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0x20
-	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	doc := s.cache.path(p.fingerprint)
+	corruptFile(t, doc)
 	resp = postJSON(t, ts.URL+"/v1/sweep", fastSweep)
 	recomputed := readBody(t, resp)
 	if got := resp.Header.Get(HeaderCache); got != "miss" {
 		t.Fatalf("post-corruption sweep %s = %q, want miss", HeaderCache, got)
 	}
+	if got := resp.Header.Get(HeaderResumed); got != strconv.Itoa(fastSweepRuns) {
+		t.Fatalf("post-corruption sweep %s = %q, want every run from the store", HeaderResumed, got)
+	}
 	if !bytes.Equal(recomputed, clean) {
 		t.Fatal("recomputed body differs from the original response")
 	}
-	if _, err := os.Stat(entries[0] + ".corrupt"); err != nil {
+	if _, err := os.Stat(doc + ".corrupt"); err != nil {
 		t.Fatalf("corrupt entry not quarantined: %v", err)
 	}
 }
@@ -498,56 +516,66 @@ func TestBenchmarksEndpoint(t *testing.T) {
 
 // TestSweepDrainMidRun: a drain that begins while a sweep is executing
 // turns the response into a 503 that reports checkpoint progress, and the
-// journal survives for the resubmission to resume.
+// runs it completed stay stored for the resubmission to resume.
 func TestSweepDrainMidRun(t *testing.T) {
 	drain, startDrain := context.WithCancel(context.Background())
 	s, ts := newTestServer(t, func(c *Config) { c.Drain = drain })
+	const body = `{"benchmarks": ["rodinia/backprop"]}`
 	s.runSweep = func(size bench.Size, opts experiments.SweepOpts) (*experiments.Results, []harness.RunError) {
+		opts.State.Append("rodinia/backprop|copy", &harness.Outcome{Attempts: 1, Size: size, Events: 9})
 		startDrain()
 		<-opts.Ctx.Done() // dispatch context must observe the drain
 		res := stubSweepResults(size)
 		res.Skipped = []string{"rodinia/backprop copy"}
 		return res, nil
 	}
-	resp := postJSON(t, ts.URL+"/v1/sweep", `{"benchmarks": ["rodinia/backprop"]}`)
-	body := readBody(t, resp)
+	resp := postJSON(t, ts.URL+"/v1/sweep", body)
+	got := readBody(t, resp)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("drained sweep = %d, want 503; body: %s", resp.StatusCode, body)
+		t.Fatalf("drained sweep = %d, want 503; body: %s", resp.StatusCode, got)
 	}
-	if !bytes.Contains(body, []byte("resubmit")) {
-		t.Fatalf("drained sweep does not advertise resume: %s", body)
+	if !bytes.Contains(got, []byte("resubmit")) {
+		t.Fatalf("drained sweep does not advertise resume: %s", got)
 	}
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 1 {
-		t.Fatalf("journals after drained sweep = %v, want the checkpoint to survive", journals)
+	p := sweepParamsFor(t, body)
+	if _, ok := s.loadRun(experiments.RunKeys(p.size, p.opts)["rodinia/backprop|copy"]); !ok {
+		t.Fatal("the run completed before the drain is not stored")
 	}
 }
 
-// TestCorruptJournalQuarantined: a damaged checkpoint journal must not
-// wedge its fingerprint — the server quarantines it and recomputes.
-func TestCorruptJournalQuarantined(t *testing.T) {
+// TestCorruptRunEntryQuarantined: a damaged run entry must not wedge the
+// runs or sweeps that share it — the server quarantines it, re-executes
+// that run alone, and serves the same bytes.
+func TestCorruptRunEntryQuarantined(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	// Seed a journal under the request's fingerprint, then corrupt it.
-	var req SweepRequest
-	if err := json.Unmarshal([]byte(fastSweep), &req); err != nil {
-		t.Fatal(err)
+	p := sweepParamsFor(t, fastSweep)
+	resp := postJSON(t, ts.URL+"/v1/sweep", fastSweep)
+	clean := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first sweep = %d; body: %s", resp.StatusCode, clean)
 	}
-	p, err := resolveSweep(&req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(s.journalDir, p.fingerprint+".journal")
-	if err := os.WriteFile(jpath, []byte("not a journal at all\n"), 0o644); err != nil {
+	run := s.cache.path(experiments.RunKeys(p.size, p.opts)["rodinia/backprop|copy"])
+	corruptFile(t, run)
+	if err := s.cache.Remove(p.fingerprint); err != nil {
 		t.Fatal(err)
 	}
 
-	resp := postJSON(t, ts.URL+"/v1/sweep", fastSweep)
+	resp = postJSON(t, ts.URL+"/v1/sweep", fastSweep)
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep over corrupt journal = %d; body: %s", resp.StatusCode, body)
+		t.Fatalf("sweep over a corrupt run entry = %d; body: %s", resp.StatusCode, body)
 	}
-	if _, err := os.Stat(jpath + ".corrupt"); err != nil {
-		t.Fatalf("corrupt journal not quarantined: %v", err)
+	if got := resp.Header.Get(HeaderResumed); got != strconv.Itoa(fastSweepRuns-1) {
+		t.Fatalf("%s = %q, want every run but the corrupt one from the store", HeaderResumed, got)
+	}
+	if !bytes.Equal(body, clean) {
+		t.Fatal("body after re-executing the corrupt run differs")
+	}
+	if _, err := os.Stat(run + ".corrupt"); err != nil {
+		t.Fatalf("corrupt run entry not quarantined: %v", err)
+	}
+	if _, ok := s.loadRun(experiments.RunKeys(p.size, p.opts)["rodinia/backprop|copy"]); !ok {
+		t.Fatal("re-executed run was not stored again")
 	}
 }
 

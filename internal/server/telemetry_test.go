@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -124,7 +125,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		`hetsimd_cache_hits_total`:                                  1,
 		`hetsimd_http_requests_total{route="/v1/sweep",code="200"}`: 2,
 		`hetsimd_http_request_seconds_count{route="/v1/sweep"}`:     2,
-		`hetsimd_gate_queue_wait_seconds_count`:                     2,
+		`hetsimd_gate_queue_wait_seconds_count`:                     1, // the hit never queued
 		`hetsimd_gate_in_flight_weight`:                             0,
 		`hetsimd_gate_waiting`:                                      0,
 	}
@@ -208,15 +209,16 @@ func TestRequestIDEchoAndSanitize(t *testing.T) {
 	}
 }
 
-// TestRequestIDThreadedToSweepAndJournal: the correlation ID reaches the
-// sweep options (and so the harness) and names the checkpoint journal an
-// interrupted request leaves behind.
-func TestRequestIDThreadedToSweepAndJournal(t *testing.T) {
+// TestRequestIDThreadedToSweep: the correlation ID reaches the sweep
+// options (and so the harness) but no stored name: a run entry is shared
+// by every request that needs the run, so it cannot name one.
+func TestRequestIDThreadedToSweep(t *testing.T) {
 	drain, startDrain := context.WithCancel(context.Background())
 	s, ts := newTestServer(t, func(c *Config) { c.Drain = drain })
 	var gotID string
 	s.runSweep = func(size bench.Size, opts experiments.SweepOpts) (*experiments.Results, []harness.RunError) {
 		gotID = opts.RequestID
+		opts.State.Append("rodinia/backprop|copy", &harness.Outcome{Attempts: 1, Size: size})
 		startDrain()
 		<-opts.Ctx.Done()
 		res := stubSweepResults(size)
@@ -232,12 +234,17 @@ func TestRequestIDThreadedToSweepAndJournal(t *testing.T) {
 	if gotID != "jid-42" {
 		t.Fatalf("SweepOpts.RequestID = %q, want jid-42", gotID)
 	}
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 1 {
-		t.Fatalf("journals = %v, want exactly one", journals)
+	err := filepath.WalkDir(s.cfg.StateDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), "jid-42") {
+			t.Errorf("stored file %s carries the request ID", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if base := filepath.Base(journals[0]); !strings.Contains(base, "-jid-42.journal") {
-		t.Fatalf("journal %q does not carry the request ID", base)
+	if _, ok := s.loadRun(experiments.RunKeys(bench.SizeSmall, experiments.SweepOpts{Only: []string{"rodinia/backprop"}})["rodinia/backprop|copy"]); !ok {
+		t.Fatal("the interrupted request's run is not stored")
 	}
 }
 
